@@ -11,9 +11,10 @@
 //! | `fig7` | DRAM placement speedup, 27 workloads (+ Fig 8 latencies) | Fig 7–8, §6.4 |
 //! | `overheads` | Storage / instruction / ALB / context-switch overheads | §4.2, §4.4 |
 //!
-//! Criterion microbenches for the substrates and ablations live under
-//! `benches/`. All parameters here are the *scaled* configuration described
-//! in DESIGN.md; `--quick` shrinks problem sizes further for smoke runs.
+//! The `microbench` binary times each memory-path layer with the std-only
+//! [`microbench::Timer`]. All parameters here are the *scaled*
+//! configuration described in DESIGN.md; `--quick` shrinks problem sizes
+//! further for smoke runs.
 
 #![warn(missing_docs)]
 

@@ -13,11 +13,18 @@
 //!   high-reuse working set resident (insertion-priority + eviction
 //!   protection, aged when the active-atom list changes) *and* misses to
 //!   pinned atoms trigger pattern-directed prefetch.
+//!
+//! The machine is split the way Table 3 shares it: one core's
+//! [`PrivateLevels`] (L1, L2, stride prefetcher) in front of the
+//! [`SharedLevels`] (L3, DRAM, pinning, guided prefetch). A [`Hierarchy`]
+//! is one of each; the co-run machine puts one private part per core in
+//! front of a single shared part. Every walk below L1 — timed or
+//! functional warming, single-core or co-run — is the one in this module.
 
-use crate::cache::{Cache, CacheStats, Eviction, InsertPriority};
+use crate::cache::{Cache, CacheStats, InsertPriority};
 use crate::config::CacheConfig;
 use crate::pin::{select_pinned, PinCandidate};
-use crate::prefetch::{MultiStridePrefetcher, PrefetchStats};
+use crate::prefetch::{MultiStridePrefetcher, PrefetchRequest, PrefetchStats};
 use cpu_sim::batch::OpAttrs;
 use dram_sim::{Dram, DramStats};
 use std::collections::BTreeSet;
@@ -110,22 +117,130 @@ pub struct XmemContext<'a> {
     pub pf_pat: &'a Pat<PrefetcherPrimitive>,
 }
 
-/// The cache hierarchy + DRAM backend.
+/// One core's private levels: L1, L2, and the stride prefetcher that
+/// trains on the core's L3 accesses (its prefetches fill the shared L3).
 #[derive(Debug)]
-pub struct Hierarchy {
-    config: HierarchyConfig,
+pub struct PrivateLevels {
+    /// L1 data cache.
+    pub l1: Cache,
+    /// Private L2.
+    pub l2: Cache,
+    /// Baseline multi-stride prefetcher, when enabled.
+    pub stride_pf: Option<MultiStridePrefetcher>,
     /// `!(l1.line_bytes - 1)`, precomputed for the per-access line align.
     line_mask: u64,
-    /// Cumulative latencies to each level (L1; L1+L2; L1+L2+L3), hoisted
-    /// out of the per-access path.
+    /// Cumulative latencies to each private level (L1; L1+L2), hoisted out
+    /// of the per-access path.
     l1_lat: u64,
     l2_lat: u64,
-    l3_lat: u64,
-    l1: Cache,
-    l2: Cache,
+}
+
+impl PrivateLevels {
+    /// Empty private levels with the geometry and stride prefetcher of
+    /// `config` (its L3 fields are not used here).
+    pub fn new(config: &HierarchyConfig) -> Self {
+        // The hardware stride prefetcher stays present in XMem modes: XMem
+        // *supplements* dynamic mechanisms (§2.1) — guided prefetch takes
+        // over only for data whose atom expresses a pattern; everything
+        // else (unmapped streams) still benefits from the stride engine.
+        let stride_pf = config
+            .stride_prefetcher
+            .then(|| MultiStridePrefetcher::new(config.stride_streams, config.prefetch_degree));
+        PrivateLevels {
+            l1: Cache::new(config.l1),
+            l2: Cache::new(config.l2),
+            stride_pf,
+            line_mask: !(config.l1.line_bytes - 1),
+            l1_lat: config.l1.latency,
+            l2_lat: config.l1.latency + config.l2.latency,
+        }
+    }
+
+    /// One demand access through these private levels and `shared`,
+    /// returning its latency in cycles.
+    ///
+    /// `TIMED = false` is the state-only functional-warming walk of
+    /// [`Hierarchy::warm_access`]: the same probes, fills, replacement
+    /// updates, pinning refresh, ALB lookups, prefetcher training, and
+    /// prefetch fills, but no latency, no writeback traffic, and DRAM rows
+    /// warmed instead of timed (its return value is meaningless).
+    #[inline]
+    pub fn serve<const TIMED: bool>(
+        &mut self,
+        shared: &mut SharedLevels,
+        pa: u64,
+        is_write: bool,
+        now: u64,
+        xmem: Option<XmemContext<'_>>,
+    ) -> u64 {
+        // The dominant outcome by far — keep it inlinable at call sites and
+        // push everything below L1 out of line.
+        if self.l1.probe(pa, is_write) {
+            return self.l1_lat;
+        }
+        self.serve_l1_miss::<TIMED>(shared, pa, is_write, now, xmem)
+    }
+
+    /// The below-L1 continuation of [`PrivateLevels::serve`].
+    fn serve_l1_miss<const TIMED: bool>(
+        &mut self,
+        shared: &mut SharedLevels,
+        pa: u64,
+        is_write: bool,
+        now: u64,
+        xmem: Option<XmemContext<'_>>,
+    ) -> u64 {
+        let line_addr = pa & self.line_mask;
+        let PrivateLevels {
+            l1, l2, stride_pf, ..
+        } = self;
+        if l2.probe(pa, false) {
+            fill_l1::<TIMED>(l1, l2, shared, line_addr, is_write, now);
+            return self.l2_lat;
+        }
+        let below =
+            shared.serve::<TIMED>(pa, now + self.l2_lat, stride_pf.as_mut(), xmem, |shared| {
+                if let Some(ev) = l2.fill(line_addr, false, InsertPriority::Normal) {
+                    if TIMED && ev.dirty {
+                        shared.write_back(ev.addr, now);
+                    }
+                }
+                fill_l1::<TIMED>(l1, l2, shared, line_addr, is_write, now);
+            });
+        self.l2_lat + below
+    }
+}
+
+/// Fills `line` into L1; a dirty victim lands in L2 if resident there,
+/// else goes on below (timed walk only — the warm walk drops it).
+fn fill_l1<const TIMED: bool>(
+    l1: &mut Cache,
+    l2: &mut Cache,
+    shared: &mut SharedLevels,
+    line: u64,
+    is_write: bool,
+    now: u64,
+) {
+    if let Some(ev) = l1.fill(line, is_write, InsertPriority::Normal) {
+        if TIMED && ev.dirty && !l2.set_dirty(ev.addr) {
+            shared.write_back(ev.addr, now);
+        }
+    }
+}
+
+/// Everything below the private levels, shared by every core: the L3, the
+/// DRAM behind it, the pinned-atom set and its epoch refresh (§5.2(2) runs
+/// over the active atoms of *all* cores), XMem-guided prefetch, and the
+/// in-flight prefetch set.
+#[derive(Debug)]
+pub struct SharedLevels {
+    mode: XmemMode,
     l3: Cache,
     dram: Dram,
-    stride_pf: Option<MultiStridePrefetcher>,
+    /// `!(l3.line_bytes - 1)`.
+    line_mask: u64,
+    l3_lat: u64,
+    xmem_prefetch_degree: usize,
     /// Currently pinned atoms (output of the greedy algorithm).
     pinned: Vec<AtomId>,
     /// AMU epoch at the last pinning evaluation.
@@ -139,52 +254,22 @@ pub struct Hierarchy {
 /// this only affects the accuracy statistic, not behaviour).
 const PF_TRACK_CAP: usize = 1 << 16;
 
-impl Hierarchy {
-    /// Creates an empty hierarchy in front of `dram`.
-    pub fn new(config: HierarchyConfig, dram: Dram) -> Self {
-        // The hardware stride prefetcher stays present in XMem modes: XMem
-        // *supplements* dynamic mechanisms (§2.1) — guided prefetch takes
-        // over only for data whose atom expresses a pattern; everything
-        // else (unmapped streams) still benefits from the stride engine.
-        let stride_pf = if config.stride_prefetcher {
-            Some(MultiStridePrefetcher::new(
-                config.stride_streams,
-                config.prefetch_degree,
-            ))
-        } else {
-            None
-        };
-        Hierarchy {
-            line_mask: !(config.l1.line_bytes - 1),
-            l1_lat: config.l1.latency,
-            l2_lat: config.l1.latency + config.l2.latency,
-            l3_lat: config.l1.latency + config.l2.latency + config.l3.latency,
-            l1: Cache::new(config.l1),
-            l2: Cache::new(config.l2),
+impl SharedLevels {
+    /// An empty L3 with `config`'s geometry and XMem mode, in front of
+    /// `dram`.
+    pub fn new(config: &HierarchyConfig, dram: Dram) -> Self {
+        SharedLevels {
+            mode: config.xmem,
             l3: Cache::new(config.l3),
             dram,
-            stride_pf,
+            line_mask: !(config.l3.line_bytes - 1),
+            l3_lat: config.l3.latency,
+            xmem_prefetch_degree: config.xmem_prefetch_degree,
             pinned: Vec::new(),
             last_epoch: u64::MAX,
             inflight_prefetches: BTreeSet::new(),
             xmem_pf_stats: PrefetchStats::default(),
-            config,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &HierarchyConfig {
-        &self.config
-    }
-
-    /// L1 statistics.
-    pub fn l1_stats(&self) -> CacheStats {
-        self.l1.stats()
-    }
-
-    /// L2 statistics.
-    pub fn l2_stats(&self) -> CacheStats {
-        self.l2.stats()
     }
 
     /// L3 statistics.
@@ -192,44 +277,94 @@ impl Hierarchy {
         self.l3.stats()
     }
 
-    /// The L2's DRRIP policy-select counter (0 for non-DRRIP configs).
-    pub fn l2_psel(&self) -> i32 {
-        self.l2.psel()
-    }
-
-    /// The L3's DRRIP policy-select counter (0 for non-DRRIP configs).
-    pub fn l3_psel(&self) -> i32 {
-        self.l3.psel()
-    }
-
     /// DRAM statistics.
     pub fn dram_stats(&self) -> DramStats {
         self.dram.stats()
     }
 
-    /// The DRAM model (e.g. to inspect its mapping).
-    pub fn dram(&self) -> &Dram {
-        &self.dram
+    /// A dirty line leaving the private levels: it lands in the L3 if
+    /// resident, else is written to DRAM at `now`.
+    pub fn write_back(&mut self, addr: u64, now: u64) {
+        if !self.l3.set_dirty(addr) {
+            let _ = self.dram.serve(addr, OpAttrs::write(), now);
+        }
     }
 
-    /// Stride-prefetcher statistics (baseline mode only).
-    pub fn stride_prefetch_stats(&self) -> Option<PrefetchStats> {
-        self.stride_pf.as_ref().map(|p| p.stats())
-    }
+    /// One demand access that missed a core's private levels and reaches
+    /// the L3 at `now`. Returns its latency from there (L3, plus DRAM on a
+    /// miss).
+    ///
+    /// `stride_pf` is the requesting core's prefetcher: it trains on every
+    /// L3 access. `fill_private` refills the requester's private levels; it
+    /// runs after the L3 has been served and before any prefetch is issued.
+    /// `TIMED` is as in [`PrivateLevels::serve`].
+    pub fn serve<const TIMED: bool>(
+        &mut self,
+        pa: u64,
+        now: u64,
+        mut stride_pf: Option<&mut MultiStridePrefetcher>,
+        mut xmem: Option<XmemContext<'_>>,
+        fill_private: impl FnOnce(&mut Self),
+    ) -> u64 {
+        // One ATOM_LOOKUP per L3 access — exactly the query rate the
+        // paper's ALB absorbs.
+        let atom = match xmem.as_mut() {
+            Some(ctx) if self.mode != XmemMode::Off => {
+                self.refresh_pinning(ctx);
+                ctx.amu.active_atom_at(PhysAddr::new(pa))
+            }
+            _ => None,
+        };
+        let line_addr = pa & self.line_mask;
+        let t_mem = now + self.l3_lat;
+        let l3_hit = self.l3.probe(pa, false);
+        let stride_reqs = stride_pf
+            .as_mut()
+            .map(|pf| pf.train(pa))
+            .unwrap_or_default();
 
-    /// XMem-guided prefetch statistics.
-    pub fn xmem_prefetch_stats(&self) -> PrefetchStats {
-        self.xmem_pf_stats
-    }
+        if l3_hit {
+            if self.inflight_prefetches.remove(&line_addr) {
+                match stride_pf {
+                    Some(pf) => pf.record_useful(),
+                    None => self.xmem_pf_stats.useful += 1,
+                }
+            }
+            fill_private(self);
+            // The stride engine keeps running ahead on hits too.
+            self.issue_stride_prefetches::<TIMED>(stride_reqs, t_mem);
+            return self.l3_lat;
+        }
 
-    /// Atoms currently pinned by the greedy algorithm.
-    pub fn pinned_atoms(&self) -> &[AtomId] {
-        &self.pinned
-    }
+        // L3 miss: demand fetch from DRAM, then fill the hierarchy.
+        let dram_lat = if TIMED {
+            self.dram.serve(line_addr, OpAttrs::read(), t_mem)
+        } else {
+            self.dram.warm_access(line_addr);
+            0
+        };
+        let priority = match atom {
+            Some(a) if self.mode == XmemMode::Full && self.pinned.contains(&a) => {
+                InsertPriority::Pinned
+            }
+            _ => InsertPriority::Normal,
+        };
+        self.fill_l3::<TIMED>(line_addr, priority, t_mem);
+        fill_private(self);
 
-    /// Total latency from the core to the DRAM controller.
-    fn lat_to_mem(&self) -> u64 {
-        self.l3_lat
+        // Prefetching: XMem-guided for data whose atom expresses a pattern
+        // (§5.2(4)); the hardware stride engine covers everything else.
+        let guided = match (xmem, atom) {
+            (Some(ctx), Some(a)) if self.guides(a, &ctx) => {
+                self.xmem_prefetch::<TIMED>(pa, a, &ctx, t_mem);
+                true
+            }
+            _ => false,
+        };
+        if !guided {
+            self.issue_stride_prefetches::<TIMED>(stride_reqs, t_mem);
+        }
+        self.l3_lat + dram_lat
     }
 
     /// Re-evaluates the pinned-atom set when the AMU epoch has changed
@@ -241,7 +376,7 @@ impl Hierarchy {
             return;
         }
         self.last_epoch = epoch;
-        if self.config.xmem != XmemMode::Full {
+        if self.mode != XmemMode::Full {
             return;
         }
         let candidates: Vec<PinCandidate> = ctx
@@ -257,138 +392,197 @@ impl Hierarchy {
                 })
             })
             .collect();
-        let new_pinned = select_pinned(&candidates, self.config.l3.size_bytes);
         // The mapping behind the atoms may have changed even if the pinned
         // ID set did not (a tile moved): age unconditionally on epoch change.
         self.l3.age_pinned();
-        self.pinned = new_pinned;
+        self.pinned = select_pinned(&candidates, self.l3.config().size_bytes);
+    }
+
+    /// Whether a miss to `atom` drives guided prefetch under this mode.
+    fn guides(&self, atom: AtomId, ctx: &XmemContext<'_>) -> bool {
+        match self.mode {
+            // §5.2(4): accesses to *pinned* atoms drive guided prefetch.
+            XmemMode::Full => self.pinned.contains(&atom),
+            // XMem-Pref: pattern-directed prefetch for any active atom with
+            // expressed reuse (software-prefetch-like, §5.4).
+            XmemMode::PrefetchOnly => ctx.cache_pat.get(atom).is_some_and(|p| p.reuse > 0),
+            XmemMode::Off => false,
+        }
     }
 
     /// Issues XMem-guided prefetches after a miss on `pa` belonging to
-    /// `atom` (§5.2(4)): the next lines of the atom's data in the direction
-    /// of the expressed stride, *bounded to the atom's extents* (the AMU
-    /// broadcasts extent information for exactly this purpose, §4.2(4)).
-    /// When the walk reaches the end of the atom it wraps to the beginning —
-    /// tiles are swept repeatedly, so the wrap is the right continuation.
-    fn xmem_prefetch(&mut self, pa: u64, atom: AtomId, ctx: &mut XmemContext<'_>, t_mem: u64) {
-        let Some((targets, priority)) = self.xmem_prefetch_targets(pa, atom, ctx) else {
-            return;
-        };
-        for target in targets {
-            if self.l3.contains(target) {
-                continue;
-            }
-            let _ = self.dram.serve_prefetch(target, t_mem);
-            if let Some(ev) = self.l3.fill(target, false, priority) {
-                self.writeback_to_dram(ev, t_mem);
-            }
-            self.track_prefetch(target);
-            self.xmem_pf_stats.issued += 1;
-        }
-    }
-
-    /// Warm-path twin of [`Hierarchy::xmem_prefetch`]: the same fills,
-    /// tracking, and stats, but DRAM rows are warmed instead of timed and
-    /// dirty evictions are dropped.
-    fn warm_xmem_prefetch(&mut self, pa: u64, atom: AtomId, ctx: &mut XmemContext<'_>) {
-        let Some((targets, priority)) = self.xmem_prefetch_targets(pa, atom, ctx) else {
-            return;
-        };
-        for target in targets {
-            if self.l3.contains(target) {
-                continue;
-            }
-            self.dram.warm_access(target);
-            let _ = self.l3.fill(target, false, priority);
-            self.track_prefetch(target);
-            self.xmem_pf_stats.issued += 1;
-        }
-    }
-
-    /// The target walk shared by the timed and warm guided-prefetch paths:
-    /// the next `xmem_prefetch_degree` lines of `atom`'s data in the
-    /// direction of its expressed stride, bounded to (and wrapping around)
-    /// the atom's extents.
-    fn xmem_prefetch_targets(
-        &self,
+    /// `atom` (§5.2(4)): the next `xmem_prefetch_degree` lines of the
+    /// atom's data in the direction of the expressed stride, *bounded to
+    /// the atom's extents* (the AMU broadcasts extent information for
+    /// exactly this purpose, §4.2(4)). When the walk reaches the end of the
+    /// atom it wraps to the beginning — tiles are swept repeatedly, so the
+    /// wrap is the right continuation.
+    fn xmem_prefetch<const TIMED: bool>(
+        &mut self,
         pa: u64,
         atom: AtomId,
         ctx: &XmemContext<'_>,
-    ) -> Option<(Vec<u64>, InsertPriority)> {
-        let prim = ctx.pf_pat.get(atom)?;
-        let stride = prim.stride?;
-        let line = self.config.l3.line_bytes;
-        let forward = stride >= 0;
+        t_mem: u64,
+    ) {
+        let Some(stride) = ctx.pf_pat.get(atom).and_then(|p| p.stride) else {
+            return;
+        };
         let exts = ctx.amu.extents(atom);
         if exts.is_empty() {
-            return None;
+            return;
         }
-        let mut ei = exts
-            .iter()
-            .position(|e| pa >= e.start.raw() && pa < e.start.raw() + e.len)
-            .unwrap_or(0);
-        let mut pos = pa & !(line - 1);
-        let mut targets = Vec::with_capacity(self.config.xmem_prefetch_degree);
-        for _ in 0..self.config.xmem_prefetch_degree {
-            if forward {
-                pos += line;
-                if pos >= exts[ei].start.raw() + exts[ei].len {
-                    ei = (ei + 1) % exts.len();
-                    pos = exts[ei].start.raw() & !(line - 1);
-                }
-            } else {
-                let ext_start = exts[ei].start.raw() & !(line - 1);
-                if pos <= ext_start {
-                    ei = (ei + exts.len() - 1) % exts.len();
-                    pos = (exts[ei].start.raw() + exts[ei].len - 1) & !(line - 1);
-                } else {
-                    pos -= line;
-                }
-            }
-            targets.push(pos);
-        }
+        let line = !self.line_mask + 1; // the line size
         let priority = if self.pinned.contains(&atom) {
             InsertPriority::Pinned
         } else {
             InsertPriority::Normal
         };
-        Some((targets, priority))
+        let mut ei = exts
+            .iter()
+            .position(|e| pa >= e.start.raw() && pa < e.start.raw() + e.len)
+            .unwrap_or(0);
+        let mut pos = pa & self.line_mask;
+        for _ in 0..self.xmem_prefetch_degree {
+            if stride >= 0 {
+                pos += line;
+                if pos >= exts[ei].start.raw() + exts[ei].len {
+                    ei = (ei + 1) % exts.len();
+                    pos = exts[ei].start.raw() & self.line_mask;
+                }
+            } else {
+                let ext_start = exts[ei].start.raw() & self.line_mask;
+                if pos <= ext_start {
+                    ei = (ei + exts.len() - 1) % exts.len();
+                    pos = (exts[ei].start.raw() + exts[ei].len - 1) & self.line_mask;
+                } else {
+                    pos -= line;
+                }
+            }
+            if self.prefetch_line::<TIMED>(pos, priority, t_mem) {
+                self.xmem_pf_stats.issued += 1;
+            }
+        }
     }
 
-    fn track_prefetch(&mut self, line_addr: u64) {
+    fn issue_stride_prefetches<const TIMED: bool>(
+        &mut self,
+        reqs: Vec<PrefetchRequest>,
+        t_mem: u64,
+    ) {
+        for req in reqs {
+            // Prefetches insert with the default policy priority: distant
+            // insertion would make far-ahead prefetches immediate victims.
+            self.prefetch_line::<TIMED>(req.addr & self.line_mask, InsertPriority::Normal, t_mem);
+        }
+    }
+
+    /// Prefetches `line` into the L3 unless it is already resident;
+    /// returns whether a prefetch was issued.
+    fn prefetch_line<const TIMED: bool>(
+        &mut self,
+        line: u64,
+        priority: InsertPriority,
+        t_mem: u64,
+    ) -> bool {
+        if self.l3.contains(line) {
+            return false;
+        }
+        if TIMED {
+            let _ = self.dram.serve_prefetch(line, t_mem);
+        } else {
+            self.dram.warm_access(line);
+        }
+        self.fill_l3::<TIMED>(line, priority, t_mem);
         if self.inflight_prefetches.len() >= PF_TRACK_CAP {
             self.inflight_prefetches.clear();
         }
-        self.inflight_prefetches.insert(line_addr);
+        self.inflight_prefetches.insert(line);
+        true
     }
 
-    fn writeback_to_dram(&mut self, ev: Eviction, now: u64) {
-        if ev.dirty {
-            let _ = self.dram.serve(ev.addr, OpAttrs::write(), now);
+    /// Fills `line` into the L3, writing a dirty victim to DRAM (timed
+    /// walk only).
+    fn fill_l3<const TIMED: bool>(&mut self, line: u64, priority: InsertPriority, t_mem: u64) {
+        if let Some(ev) = self.l3.fill(line, false, priority) {
+            if TIMED && ev.dirty {
+                let _ = self.dram.serve(ev.addr, OpAttrs::write(), t_mem);
+            }
+        }
+    }
+}
+
+/// The single-core cache hierarchy: one core's [`PrivateLevels`] in front
+/// of the [`SharedLevels`] and DRAM.
+#[derive(Debug)]
+pub struct Hierarchy {
+    config: HierarchyConfig,
+    core: PrivateLevels,
+    shared: SharedLevels,
+}
+
+impl Hierarchy {
+    /// Creates an empty hierarchy in front of `dram`.
+    pub fn new(config: HierarchyConfig, dram: Dram) -> Self {
+        Hierarchy {
+            core: PrivateLevels::new(&config),
+            shared: SharedLevels::new(&config, dram),
+            config,
         }
     }
 
-    /// A dirty line evicted from an inner level lands in the next level if
-    /// resident, else goes to DRAM.
-    fn writeback_inner(&mut self, ev: Eviction, level: u8, now: u64) {
-        if !ev.dirty {
-            return;
-        }
-        match level {
-            1 => {
-                if !self.l2.set_dirty(ev.addr) && !self.l3.set_dirty(ev.addr) {
-                    let _ = self.dram.serve(ev.addr, OpAttrs::write(), now);
-                }
-            }
-            2 => {
-                if !self.l3.set_dirty(ev.addr) {
-                    let _ = self.dram.serve(ev.addr, OpAttrs::write(), now);
-                }
-            }
-            _ => {
-                let _ = self.dram.serve(ev.addr, OpAttrs::write(), now);
-            }
-        }
+    /// The configuration in use.
+    pub fn config(&self) -> &HierarchyConfig {
+        &self.config
+    }
+
+    /// L1 statistics.
+    pub fn l1_stats(&self) -> CacheStats {
+        self.core.l1.stats()
+    }
+
+    /// L2 statistics.
+    pub fn l2_stats(&self) -> CacheStats {
+        self.core.l2.stats()
+    }
+
+    /// L3 statistics.
+    pub fn l3_stats(&self) -> CacheStats {
+        self.shared.l3_stats()
+    }
+
+    /// The L2's DRRIP policy-select counter (0 for non-DRRIP configs).
+    pub fn l2_psel(&self) -> i32 {
+        self.core.l2.psel()
+    }
+
+    /// The L3's DRRIP policy-select counter (0 for non-DRRIP configs).
+    pub fn l3_psel(&self) -> i32 {
+        self.shared.l3.psel()
+    }
+
+    /// DRAM statistics.
+    pub fn dram_stats(&self) -> DramStats {
+        self.shared.dram_stats()
+    }
+
+    /// The DRAM model (e.g. to inspect its mapping).
+    pub fn dram(&self) -> &Dram {
+        &self.shared.dram
+    }
+
+    /// Stride-prefetcher statistics (baseline mode only).
+    pub fn stride_prefetch_stats(&self) -> Option<PrefetchStats> {
+        self.core.stride_pf.as_ref().map(|p| p.stats())
+    }
+
+    /// XMem-guided prefetch statistics.
+    pub fn xmem_prefetch_stats(&self) -> PrefetchStats {
+        self.shared.xmem_pf_stats
+    }
+
+    /// Atoms currently pinned by the greedy algorithm.
+    pub fn pinned_atoms(&self) -> &[AtomId] {
+        &self.shared.pinned
     }
 
     /// Performs one demand access, returning its latency in cycles.
@@ -407,110 +601,12 @@ impl Hierarchy {
         now: u64,
         xmem: Option<XmemContext<'_>>,
     ) -> u64 {
-        // The dominant outcome by far — keep it inlinable at call sites and
-        // push everything below L1 out of line.
-        if self.l1.probe(pa, is_write) {
-            return self.l1_lat;
-        }
-        self.serve_l1_miss(pa, is_write, now, xmem)
+        self.core
+            .serve::<true>(&mut self.shared, pa, is_write, now, xmem)
     }
 
-    /// The below-L1 continuation of [`Hierarchy::serve`].
-    fn serve_l1_miss(
-        &mut self,
-        pa: u64,
-        is_write: bool,
-        now: u64,
-        mut xmem: Option<XmemContext<'_>>,
-    ) -> u64 {
-        let line_addr = pa & self.line_mask;
-        let l2_lat = self.l2_lat;
-        if self.l2.probe(pa, false) {
-            if let Some(ev) = self.l1.fill(line_addr, is_write, InsertPriority::Normal) {
-                self.writeback_inner(ev, 1, now);
-            }
-            return l2_lat;
-        }
-
-        // L3 territory: consult XMem state if present. One ATOM_LOOKUP per
-        // L3 access — exactly the query rate the paper's ALB absorbs.
-        if let Some(ctx) = xmem.as_mut() {
-            if self.config.xmem != XmemMode::Off {
-                self.refresh_pinning(ctx);
-            }
-        }
-        let atom = match (&mut xmem, self.config.xmem) {
-            (Some(ctx), XmemMode::Full | XmemMode::PrefetchOnly) => {
-                ctx.amu.active_atom_at(PhysAddr::new(pa))
-            }
-            _ => None,
-        };
-        let l3_lat = self.l3_lat;
-        let l3_hit = self.l3.probe(pa, false);
-
-        // Baseline stride prefetcher trains on every L3 access.
-        let stride_reqs = self
-            .stride_pf
-            .as_mut()
-            .map(|pf| pf.train(pa))
-            .unwrap_or_default();
-
-        if l3_hit {
-            let was_prefetched = self.inflight_prefetches.remove(&line_addr);
-            if was_prefetched {
-                if let Some(pf) = self.stride_pf.as_mut() {
-                    pf.record_useful();
-                } else {
-                    self.xmem_pf_stats.useful += 1;
-                }
-            }
-            if let Some(ev) = self.l2.fill(line_addr, false, InsertPriority::Normal) {
-                self.writeback_inner(ev, 2, now);
-            }
-            if let Some(ev) = self.l1.fill(line_addr, is_write, InsertPriority::Normal) {
-                self.writeback_inner(ev, 1, now);
-            }
-            // Continuation: a hit on a line the guided engine prefetched
-            // keeps the stream running ahead (like the software prefetching
-            // §5.4 equates XMem-Pref with), without re-scanning on every
-            // ordinary hit.
-            self.issue_stride_prefetches(stride_reqs, now + l3_lat);
-            return l3_lat;
-        }
-
-        // L3 miss: demand fetch from DRAM.
-        let t_mem = now + self.lat_to_mem();
-        let dram_lat = self.dram.serve(line_addr, OpAttrs::read(), t_mem);
-
-        // Fill the hierarchy.
-        let l3_priority = match (self.config.xmem, atom) {
-            (XmemMode::Full, Some(a)) if self.pinned.contains(&a) => InsertPriority::Pinned,
-            _ => InsertPriority::Normal,
-        };
-        if let Some(ev) = self.l3.fill(line_addr, false, l3_priority) {
-            self.writeback_to_dram(ev, t_mem);
-        }
-        if let Some(ev) = self.l2.fill(line_addr, false, InsertPriority::Normal) {
-            self.writeback_inner(ev, 2, now);
-        }
-        if let Some(ev) = self.l1.fill(line_addr, is_write, InsertPriority::Normal) {
-            self.writeback_inner(ev, 1, now);
-        }
-
-        // Prefetching: XMem-guided for data whose atom expresses a pattern
-        // (§5.2(4)); the hardware stride engine covers everything else.
-        if !self.guided_prefetch(pa, atom, &mut xmem, t_mem) {
-            self.issue_stride_prefetches(stride_reqs, t_mem);
-        }
-
-        l3_lat + dram_lat
-    }
-
-    /// State-only warmup probe: walks the hierarchy with the same probes,
-    /// fills, replacement updates, pinning refresh, ALB lookups, prefetcher
-    /// training, and prefetch fills as [`Hierarchy::serve`], but skips
-    /// everything timing-related — no latencies, no writeback traffic, and
-    /// no DRAM bank/bus occupancy (only the row-buffer state is warmed).
+    /// State-only warmup probe: the [`Hierarchy::serve`] walk with
+    /// everything timing-related skipped (see [`PrivateLevels::serve`]).
     ///
     /// This is the functional fast-forward path of sampled execution: it
     /// keeps tags, LRU/DRRIP state, pinned-insertion decisions, the ALB,
@@ -522,142 +618,10 @@ impl Hierarchy {
     /// exists here). Cache/ALB/prefetch counters do advance — sampled-mode
     /// raw counters are a warm+detailed mixture, and the per-window metrics
     /// are computed from deltas across detailed windows only.
-    pub fn warm_access(&mut self, pa: u64, is_write: bool, mut xmem: Option<XmemContext<'_>>) {
-        if self.l1.probe(pa, is_write) {
-            return;
-        }
-        let line_addr = pa & self.line_mask;
-        if self.l2.probe(pa, false) {
-            let _ = self.l1.fill(line_addr, is_write, InsertPriority::Normal);
-            return;
-        }
-        if let Some(ctx) = xmem.as_mut() {
-            if self.config.xmem != XmemMode::Off {
-                self.refresh_pinning(ctx);
-            }
-        }
-        let atom = match (&mut xmem, self.config.xmem) {
-            (Some(ctx), XmemMode::Full | XmemMode::PrefetchOnly) => {
-                ctx.amu.active_atom_at(PhysAddr::new(pa))
-            }
-            _ => None,
-        };
-        let stride_reqs = self
-            .stride_pf
-            .as_mut()
-            .map(|pf| pf.train(pa))
-            .unwrap_or_default();
-        if self.l3.probe(pa, false) {
-            if self.inflight_prefetches.remove(&line_addr) {
-                if let Some(pf) = self.stride_pf.as_mut() {
-                    pf.record_useful();
-                } else {
-                    self.xmem_pf_stats.useful += 1;
-                }
-            }
-            let _ = self.l2.fill(line_addr, false, InsertPriority::Normal);
-            let _ = self.l1.fill(line_addr, is_write, InsertPriority::Normal);
-            self.warm_stride_prefetches(stride_reqs);
-            return;
-        }
-        self.dram.warm_access(line_addr);
-        let l3_priority = match (self.config.xmem, atom) {
-            (XmemMode::Full, Some(a)) if self.pinned.contains(&a) => InsertPriority::Pinned,
-            _ => InsertPriority::Normal,
-        };
-        let _ = self.l3.fill(line_addr, false, l3_priority);
-        let _ = self.l2.fill(line_addr, false, InsertPriority::Normal);
-        let _ = self.l1.fill(line_addr, is_write, InsertPriority::Normal);
-        if !self.warm_guided_prefetch(pa, atom, &mut xmem) {
-            self.warm_stride_prefetches(stride_reqs);
-        }
-    }
-
-    /// Warm-path twin of [`Hierarchy::guided_prefetch`]: same mode/atom
-    /// dispatch, warm prefetch mechanics.
-    fn warm_guided_prefetch(
-        &mut self,
-        pa: u64,
-        atom: Option<AtomId>,
-        xmem: &mut Option<XmemContext<'_>>,
-    ) -> bool {
-        match (xmem, self.config.xmem, atom) {
-            (Some(ctx), XmemMode::Full, Some(a)) if self.pinned.contains(&a) => {
-                self.warm_xmem_prefetch(pa, a, ctx);
-                true
-            }
-            (Some(ctx), XmemMode::PrefetchOnly, Some(a)) => {
-                let reuse = ctx.cache_pat.get(a).map(|p| p.reuse).unwrap_or(0);
-                if reuse > 0 {
-                    self.warm_xmem_prefetch(pa, a, ctx);
-                    true
-                } else {
-                    false
-                }
-            }
-            _ => false,
-        }
-    }
-
-    /// Warm-path twin of [`Hierarchy::issue_stride_prefetches`]: fills and
-    /// tracks the prefetched lines, warms their DRAM rows, drops evictions.
-    fn warm_stride_prefetches(&mut self, reqs: Vec<crate::prefetch::PrefetchRequest>) {
-        for req in reqs {
-            let target = req.addr & !(self.config.l3.line_bytes - 1);
-            if self.l3.contains(target) {
-                continue;
-            }
-            self.dram.warm_access(target);
-            let _ = self.l3.fill(target, false, InsertPriority::Normal);
-            self.track_prefetch(target);
-        }
-    }
-
-    /// Issues XMem-guided prefetches for `pa` if its atom qualifies under
-    /// the current mode; returns whether guided prefetch handled it.
-    fn guided_prefetch(
-        &mut self,
-        pa: u64,
-        atom: Option<AtomId>,
-        xmem: &mut Option<XmemContext<'_>>,
-        t_mem: u64,
-    ) -> bool {
-        match (xmem, self.config.xmem, atom) {
-            (Some(ctx), XmemMode::Full, Some(a))
-                // §5.2(4): accesses to *pinned* atoms drive guided prefetch.
-                if self.pinned.contains(&a) => {
-                    self.xmem_prefetch(pa, a, ctx, t_mem);
-                    true
-                }
-            (Some(ctx), XmemMode::PrefetchOnly, Some(a)) => {
-                // XMem-Pref: pattern-directed prefetch for any active atom
-                // with expressed reuse (software-prefetch-like, §5.4).
-                let reuse = ctx.cache_pat.get(a).map(|p| p.reuse).unwrap_or(0);
-                if reuse > 0 {
-                    self.xmem_prefetch(pa, a, ctx, t_mem);
-                    true
-                } else {
-                    false
-                }
-            }
-            _ => false,
-        }
-    }
-
-    fn issue_stride_prefetches(&mut self, reqs: Vec<crate::prefetch::PrefetchRequest>, t_mem: u64) {
-        for req in reqs {
-            let target = req.addr & !(self.config.l3.line_bytes - 1);
-            if self.l3.contains(target) {
-                continue;
-            }
-            let _ = self.dram.serve_prefetch(target, t_mem);
-            // Prefetches insert with the default policy priority: distant
-            // insertion would make far-ahead prefetches immediate victims.
-            if let Some(ev) = self.l3.fill(target, false, InsertPriority::Normal) {
-                self.writeback_to_dram(ev, t_mem);
-            }
-            self.track_prefetch(target);
-        }
+    pub fn warm_access(&mut self, pa: u64, is_write: bool, xmem: Option<XmemContext<'_>>) {
+        let _ = self
+            .core
+            .serve::<false>(&mut self.shared, pa, is_write, 0, xmem);
     }
 }
 
@@ -737,7 +701,7 @@ mod tests {
         let run = |stride_on: bool| {
             let mut h = small_hierarchy(XmemMode::Off);
             if !stride_on {
-                h.stride_pf = None;
+                h.core.stride_pf = None;
             }
             let mut total = 0u64;
             for i in 0..2048u64 {
@@ -816,8 +780,8 @@ mod tests {
         );
         assert!(h.xmem_prefetch_stats().issued > 0);
         // The line just *before* the miss is now resident.
-        assert!(h.l3.contains(miss_at - 64));
-        assert!(!h.l3.contains(miss_at + 4 * 64));
+        assert!(h.shared.l3.contains(miss_at - 64));
+        assert!(!h.shared.l3.contains(miss_at + 4 * 64));
     }
 
     #[test]

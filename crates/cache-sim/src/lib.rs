@@ -41,6 +41,8 @@ pub use crate::coherence::{
 };
 pub use crate::config::{CacheConfig, ReplacementPolicy};
 pub use crate::dram_cache::{DramCache, DramCacheConfig, DramCacheStats};
-pub use crate::hierarchy::{Hierarchy, HierarchyConfig, XmemContext, XmemMode};
+pub use crate::hierarchy::{
+    Hierarchy, HierarchyConfig, PrivateLevels, SharedLevels, XmemContext, XmemMode,
+};
 pub use crate::pin::{select_pinned, PinCandidate, PIN_FRACTION};
 pub use crate::prefetch::{MultiStridePrefetcher, PrefetchRequest, PrefetchStats};

@@ -19,19 +19,17 @@
 //! fuzz tests can assert the SWMR and data-value invariants after every
 //! single transaction.
 
-use cache_sim::cache::{Cache, Eviction, InsertPriority};
+use cache_sim::cache::{Eviction, InsertPriority};
 use cache_sim::coherence::{local_next, snoop_transition, BusOp, MesiState, SnoopAction, SnoopBus};
 use cache_sim::config::CacheConfig;
-use cache_sim::{BusConfig, BusStats, ReplacementPolicy};
+use cache_sim::{BusConfig, BusStats, HierarchyConfig, PrivateLevels, ReplacementPolicy};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The per-core private domains and the bus, bundled for [`mesi_access`].
 #[derive(Debug)]
 pub struct MesiDomains<'a> {
-    /// Per-core private L1s.
-    pub l1s: &'a mut [Cache],
-    /// Per-core private L2s.
-    pub l2s: &'a mut [Cache],
+    /// Per-core private L1/L2 pairs.
+    pub cores: &'a mut [PrivateLevels],
     /// The shared snooping bus.
     pub bus: &'a mut SnoopBus,
     /// L1 hit latency.
@@ -75,15 +73,15 @@ fn snoop_peers(
     acc: &mut CoherentAccess,
 ) -> bool {
     let mut sharers = false;
-    for j in 0..d.l1s.len() {
+    for j in 0..d.cores.len() {
         if j == requester {
             continue;
         }
-        let s1 = d.l1s[j].coh_state(line);
+        let s1 = d.cores[j].l1.coh_state(line);
         let state = if s1 != MesiState::Invalid {
             s1
         } else {
-            d.l2s[j].coh_state(line)
+            d.cores[j].l2.coh_state(line)
         };
         if state == MesiState::Invalid {
             continue;
@@ -102,13 +100,13 @@ fn snoop_peers(
             }
         }
         if next == MesiState::Invalid {
-            d.l1s[j].snoop_invalidate(line);
-            d.l2s[j].snoop_invalidate(line);
+            d.cores[j].l1.snoop_invalidate(line);
+            d.cores[j].l2.snoop_invalidate(line);
             d.bus.note_invalidation();
             acc.invalidated.push((j, line));
         } else if next != state {
-            d.l1s[j].set_coh_state(line, next);
-            d.l2s[j].set_coh_state(line, next);
+            d.cores[j].l1.set_coh_state(line, next);
+            d.cores[j].l2.set_coh_state(line, next);
         }
         sharers = true;
     }
@@ -156,8 +154,8 @@ pub fn mesi_access(
     };
 
     // ── L1 hit ──────────────────────────────────────────────────────────
-    if d.l1s[core].probe(pa, is_write) {
-        let state = d.l1s[core].coh_state(pa);
+    if d.cores[core].l1.probe(pa, is_write) {
+        let state = d.cores[core].l1.coh_state(pa);
         debug_assert_ne!(state, MesiState::Invalid, "resident line without state");
         // `others` only matters from I, which a hit excludes.
         let (next, bus_op) = local_next(state, is_write, false);
@@ -168,8 +166,8 @@ pub fn mesi_access(
             snoop_peers(d, core, line, op, &mut acc);
         }
         if next != state {
-            d.l1s[core].set_coh_state(line, next);
-            d.l2s[core].set_coh_state(line, next);
+            d.cores[core].l1.set_coh_state(line, next);
+            d.cores[core].l2.set_coh_state(line, next);
         }
         acc.latency = lat;
         acc.state = next;
@@ -177,8 +175,8 @@ pub fn mesi_access(
     }
 
     // ── L2 hit: state lives in L2; refill L1 alongside ──────────────────
-    if d.l2s[core].probe(pa, false) {
-        let state = d.l2s[core].coh_state(pa);
+    if d.cores[core].l2.probe(pa, false) {
+        let state = d.cores[core].l2.coh_state(pa);
         debug_assert_ne!(state, MesiState::Invalid, "resident line without state");
         let (next, bus_op) = local_next(state, is_write, false);
         let mut lat = d.l1_lat + d.l2_lat;
@@ -187,13 +185,13 @@ pub fn mesi_access(
             lat += d.bus.transact(op, now);
             snoop_peers(d, core, line, op, &mut acc);
         }
-        d.l2s[core].set_coh_state(line, next);
-        let ev = d.l1s[core].fill(line, false, InsertPriority::Normal);
+        d.cores[core].l2.set_coh_state(line, next);
+        let ev = d.cores[core].l1.fill(line, false, InsertPriority::Normal);
         if let Some(ev) = ev {
-            let still = d.l2s[core].contains(ev.addr);
+            let still = d.cores[core].l2.contains(ev.addr);
             settle_eviction(core, ev, still, d.bus, &mut acc);
         }
-        d.l1s[core].set_coh_state(line, next);
+        d.cores[core].l1.set_coh_state(line, next);
         acc.latency = lat;
         acc.state = next;
         return acc;
@@ -209,18 +207,18 @@ pub fn mesi_access(
     } else {
         acc.from_memory = true;
     }
-    let ev = d.l2s[core].fill(line, false, InsertPriority::Normal);
+    let ev = d.cores[core].l2.fill(line, false, InsertPriority::Normal);
     if let Some(ev) = ev {
-        let still = d.l1s[core].contains(ev.addr);
+        let still = d.cores[core].l1.contains(ev.addr);
         settle_eviction(core, ev, still, d.bus, &mut acc);
     }
-    d.l2s[core].set_coh_state(line, next);
-    let ev = d.l1s[core].fill(line, false, InsertPriority::Normal);
+    d.cores[core].l2.set_coh_state(line, next);
+    let ev = d.cores[core].l1.fill(line, false, InsertPriority::Normal);
     if let Some(ev) = ev {
-        let still = d.l2s[core].contains(ev.addr);
+        let still = d.cores[core].l2.contains(ev.addr);
         settle_eviction(core, ev, still, d.bus, &mut acc);
     }
-    d.l1s[core].set_coh_state(line, next);
+    d.cores[core].l1.set_coh_state(line, next);
     acc.latency = lat;
     acc.state = next;
     acc
@@ -242,8 +240,7 @@ pub fn mesi_access(
 ///   test closes the loop end-to-end).
 #[derive(Debug)]
 pub struct CoherentCluster {
-    l1s: Vec<Cache>,
-    l2s: Vec<Cache>,
+    cores: Vec<PrivateLevels>,
     bus: SnoopBus,
     l1_lat: u64,
     l2_lat: u64,
@@ -262,9 +259,14 @@ impl CoherentCluster {
         bus: BusConfig,
         mem_lat: u64,
     ) -> Self {
+        let domain = HierarchyConfig {
+            l1,
+            l2,
+            stride_prefetcher: false,
+            ..HierarchyConfig::westmere_like()
+        };
         CoherentCluster {
-            l1s: (0..cores).map(|_| Cache::new(l1)).collect(),
-            l2s: (0..cores).map(|_| Cache::new(l2)).collect(),
+            cores: (0..cores).map(|_| PrivateLevels::new(&domain)).collect(),
             bus: SnoopBus::new(bus),
             l1_lat: l1.latency,
             l2_lat: l2.latency,
@@ -297,7 +299,7 @@ impl CoherentCluster {
 
     /// Number of cores.
     pub fn cores(&self) -> usize {
-        self.l1s.len()
+        self.cores.len()
     }
 
     fn line_of(&self, addr: u64) -> u64 {
@@ -315,8 +317,7 @@ impl CoherentCluster {
         now: u64,
     ) -> CoherentAccess {
         let mut d = MesiDomains {
-            l1s: &mut self.l1s,
-            l2s: &mut self.l2s,
+            cores: &mut self.cores,
             bus: &mut self.bus,
             l1_lat: self.l1_lat,
             l2_lat: self.l2_lat,
@@ -365,11 +366,11 @@ impl CoherentCluster {
 
     /// The domain state of `core` for the line holding `addr`.
     pub fn state(&self, core: usize, addr: u64) -> MesiState {
-        let s = self.l1s[core].coh_state(addr);
+        let s = self.cores[core].l1.coh_state(addr);
         if s != MesiState::Invalid {
             s
         } else {
-            self.l2s[core].coh_state(addr)
+            self.cores[core].l2.coh_state(addr)
         }
     }
 
@@ -391,7 +392,7 @@ impl CoherentCluster {
 
     /// Per-core L1 snoop-invalidation count (for litmus assertions).
     pub fn l1_snoop_invalidations(&self, core: usize) -> u64 {
-        self.l1s[core].stats().snoop_invalidations
+        self.cores[core].l1.stats().snoop_invalidations
     }
 
     /// Audits the protocol invariants over every tracked line; returns the
@@ -402,9 +403,9 @@ impl CoherentCluster {
             let mut holders = 0usize;
             let mut exclusive = 0usize;
             for j in 0..self.cores() {
-                let s1 = self.l1s[j].coh_state(line);
-                let s2 = self.l2s[j].coh_state(line);
-                if self.l1s[j].contains(line) && s1 == MesiState::Invalid {
+                let s1 = self.cores[j].l1.coh_state(line);
+                let s2 = self.cores[j].l2.coh_state(line);
+                if self.cores[j].l1.contains(line) && s1 == MesiState::Invalid {
                     return Err(format!(
                         "core {j} line {line:#x}: resident in L1 without state"
                     ));

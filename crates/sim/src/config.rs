@@ -31,16 +31,6 @@ impl SystemKind {
     pub fn xmem_enabled(self) -> bool {
         !matches!(self, SystemKind::Baseline)
     }
-
-    /// Display name matching the paper's figures.
-    #[deprecated(note = "use the Display impl: `format!(\"{kind}\")`")]
-    pub fn name(self) -> &'static str {
-        match self {
-            SystemKind::Baseline => "Baseline",
-            SystemKind::XmemPref => "XMem-Pref",
-            SystemKind::Xmem => "XMem",
-        }
-    }
 }
 
 impl fmt::Display for SystemKind {
@@ -388,6 +378,21 @@ impl MultiCoreConfig {
             coherence: CoherenceMode::None,
             bus: BusConfig::default(),
             coherence_aware_pinning: true,
+        }
+    }
+
+    /// One core's view of the cache geometry: its private levels in front
+    /// of the shared L3.
+    pub fn hierarchy(&self) -> HierarchyConfig {
+        HierarchyConfig {
+            l1: self.l1,
+            l2: self.l2,
+            l3: self.l3,
+            stride_prefetcher: self.stride_prefetcher,
+            stride_streams: self.stride_streams,
+            prefetch_degree: self.prefetch_degree,
+            xmem_prefetch_degree: self.xmem_prefetch_degree,
+            xmem: self.xmem,
         }
     }
 

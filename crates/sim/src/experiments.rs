@@ -109,18 +109,6 @@ pub enum Uc2System {
     IdealRbl,
 }
 
-impl Uc2System {
-    /// Display name matching the paper's figures.
-    #[deprecated(note = "use the Display impl: `format!(\"{sys}\")`")]
-    pub fn name(self) -> &'static str {
-        match self {
-            Uc2System::Baseline => "Baseline",
-            Uc2System::Xmem => "XMem",
-            Uc2System::IdealRbl => "Ideal",
-        }
-    }
-}
-
 impl fmt::Display for Uc2System {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {

@@ -401,7 +401,7 @@ impl RunSpec {
     /// This is the monomorphized hot path: the workload's sink calls inline
     /// into the batch emitter with no per-op virtual dispatch.
     pub fn execute(&self) -> RunReport {
-        crate::machine::run_generator(&self.config, None, &self.workload).0
+        self.execute_sampled(None, None).report
     }
 
     /// Like [`RunSpec::execute`], additionally sampling a telemetry series
@@ -411,7 +411,8 @@ impl RunSpec {
         &self,
         epoch_instructions: Option<u64>,
     ) -> (RunReport, Option<TelemetrySeries>) {
-        crate::machine::run_generator(&self.config, epoch_instructions, &self.workload)
+        let out = self.execute_sampled(epoch_instructions, None);
+        (out.report, out.telemetry)
     }
 
     /// Like [`RunSpec::execute_with_telemetry`], additionally executing

@@ -50,8 +50,8 @@ pub use crate::harness::{
     Sweep, WorkloadSpec,
 };
 pub use crate::machine::{
-    run_generator, run_generator_sampled, run_workload, run_workload_with_telemetry, Generator,
-    Machine, RunOutput, ScanSink,
+    run_generator_sampled, run_workload, run_workload_with_telemetry, Generator, Machine,
+    RunOutput, ScanSink,
 };
 #[doc(hidden)]
 pub use crate::machine::{run_workload_sampled_scalar, run_workload_scalar};

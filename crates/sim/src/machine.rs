@@ -20,8 +20,8 @@ use cache_sim::hierarchy::{Hierarchy, XmemContext};
 use cpu_sim::batch::{MemoryPath, OpAttrs, OpBatch, OpKind};
 use cpu_sim::core::Core;
 use cpu_sim::trace::Op;
-use dram_sim::Dram;
-use os_sim::loader::{load_segment, LoadedProcess};
+use dram_sim::{AddressMapping, Dram, DramConfig};
+use os_sim::loader::load_segment;
 use os_sim::os::{Os, OsError};
 use os_sim::placement::FramePolicy;
 use os_sim::tlb::Tlb;
@@ -94,16 +94,80 @@ impl TraceSink for ScanSink {
     fn deactivate(&mut self, _atom: AtomId) {}
 }
 
+/// The OS and XMem state a machine runs its program against, built at
+/// load time.
+#[derive(Debug)]
+pub(crate) struct LoadedSystem {
+    pub(crate) os: Os,
+    pub(crate) amu: AtomManagementUnit,
+    pub(crate) cache_pat: Pat<CachePrimitive>,
+    pub(crate) pf_pat: Pat<PrefetcherPrimitive>,
+    pub(crate) xmem_enabled: bool,
+}
+
+impl LoadedSystem {
+    /// Load time (§3.5.2): loads `segment` into the GAT, keeps the
+    /// translated cache and prefetcher PATs when XMem is enabled (they stay
+    /// empty otherwise), and builds the OS with the configured frame
+    /// policy — XMem placement allocates from the atoms' placement
+    /// primitives.
+    pub(crate) fn load(
+        segment: &AtomSegment,
+        frame_policy: FramePolicyKind,
+        mapping: AddressMapping,
+        dram: DramConfig,
+        phys_bytes: u64,
+        xmem_enabled: bool,
+    ) -> Self {
+        let translator = AttributeTranslator::with_row_bytes(dram.row_bytes);
+        // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
+        let loaded = load_segment(ProcessId(0), segment, &translator).expect("program load failed");
+        let policy = match frame_policy {
+            FramePolicyKind::Sequential => FramePolicy::Sequential,
+            FramePolicyKind::Randomized { seed } => FramePolicy::Randomized { seed },
+            FramePolicyKind::XmemPlacement => FramePolicy::Xmem {
+                atoms: loaded.placement,
+                mapping,
+                dram,
+            },
+        };
+        let (cache_pat, pf_pat) = if xmem_enabled {
+            (loaded.cache_pat, loaded.pf_pat)
+        } else {
+            (Pat::new(), Pat::new())
+        };
+        LoadedSystem {
+            os: Os::new(phys_bytes, 4096, policy),
+            amu: AtomManagementUnit::new(AmuConfig {
+                aam: AamConfig {
+                    phys_bytes,
+                    ..AamConfig::default()
+                },
+                alb_entries: 256,
+                page_size: 4096,
+            }),
+            cache_pat,
+            pf_pat,
+            xmem_enabled,
+        }
+    }
+
+    /// The XMem state the cache hierarchy consults, when XMem is enabled.
+    pub(crate) fn xmem(&mut self) -> Option<XmemContext<'_>> {
+        self.xmem_enabled.then_some(XmemContext {
+            amu: &mut self.amu,
+            cache_pat: &self.cache_pat,
+            pf_pat: &self.pf_pat,
+        })
+    }
+}
+
 /// The memory side of the machine (everything the core's loads/stores see).
 #[derive(Debug)]
 struct MemSystem {
     hierarchy: Hierarchy,
-    amu: AtomManagementUnit,
-    cache_pat: Pat<CachePrimitive>,
-    pf_pat: Pat<PrefetcherPrimitive>,
-    os: Os,
+    sys: LoadedSystem,
     tlb: Option<Tlb>,
-    xmem_enabled: bool,
     /// Small direct-mapped VPN→PFN translate cache over the OS page table
     /// (indexed by the VPN's low bits). Workloads alternate between a few
     /// data structures on different pages — gemm touches three arrays per
@@ -148,6 +212,7 @@ impl MemSystem {
             return (self.tc_pfn[slot] << self.page_shift) | (va & ((1 << self.page_shift) - 1));
         }
         let pa = self
+            .sys
             .os
             .page_table()
             .translate(VirtAddr::new(va))
@@ -202,12 +267,7 @@ impl MemSystem {
             let _ = tlb.translate_cost(VirtAddr::new(va));
         }
         let pa = self.translate(va);
-        let ctx = self.xmem_enabled.then_some(XmemContext {
-            amu: &mut self.amu,
-            cache_pat: &self.cache_pat,
-            pf_pat: &self.pf_pat,
-        });
-        self.hierarchy.warm_access(pa, is_write, ctx);
+        self.hierarchy.warm_access(pa, is_write, self.sys.xmem());
     }
 }
 
@@ -220,12 +280,9 @@ impl MemoryPath for MemSystem {
             .map(|t| t.translate_cost(VirtAddr::new(va)))
             .unwrap_or(0);
         let pa = self.translate(va);
-        let ctx = self.xmem_enabled.then_some(XmemContext {
-            amu: &mut self.amu,
-            cache_pat: &self.cache_pat,
-            pf_pat: &self.pf_pat,
-        });
-        walk + self.hierarchy.serve(pa, attrs.write, now + walk, ctx)
+        walk + self
+            .hierarchy
+            .serve(pa, attrs.write, now + walk, self.sys.xmem())
     }
 }
 
@@ -326,55 +383,33 @@ pub struct Machine {
 const SINK_SITE_FILE: &str = "<workload>";
 
 impl Machine {
-    /// Builds the machine for `config`, loading `loaded` (the scanned
-    /// program) into the OS/XMem tables.
-    fn new(config: &SystemConfig, loaded: &LoadedProcess) -> Self {
-        let policy = match config.frame_policy {
-            FramePolicyKind::Sequential => FramePolicy::Sequential,
-            FramePolicyKind::Randomized { seed } => FramePolicy::Randomized { seed },
-            FramePolicyKind::XmemPlacement => FramePolicy::Xmem {
-                atoms: loaded.placement.clone(),
-                mapping: config.mapping,
-                dram: config.dram,
-            },
-        };
-        let os = Os::new(config.phys_bytes, 4096, policy);
+    /// Builds the machine for `config`, loading `segment` (the scanned
+    /// program's atoms) into the OS/XMem tables.
+    fn new(config: &SystemConfig, segment: &AtomSegment) -> Self {
+        let sys = LoadedSystem::load(
+            segment,
+            config.frame_policy,
+            config.mapping,
+            config.dram,
+            config.phys_bytes,
+            config.hierarchy.xmem != cache_sim::XmemMode::Off,
+        );
         let dram = if config.ideal_rbl {
             Dram::new_ideal_rbl(config.dram, config.mapping)
         } else {
             Dram::new(config.dram, config.mapping)
         };
-        let amu = AtomManagementUnit::new(AmuConfig {
-            aam: AamConfig {
-                phys_bytes: config.phys_bytes,
-                ..AamConfig::default()
-            },
-            alb_entries: 256,
-            page_size: 4096,
-        });
-        let xmem_enabled = config.hierarchy.xmem != cache_sim::XmemMode::Off;
-        let mut cache_pat = Pat::new();
-        let mut pf_pat = Pat::new();
-        if xmem_enabled {
-            let translator = AttributeTranslator::with_row_bytes(config.dram.row_bytes);
-            cache_pat.fill_from_gat(&loaded.process.gat, |a| translator.for_cache(a));
-            pf_pat.fill_from_gat(&loaded.process.gat, |a| translator.for_prefetcher(a));
-        }
         Machine {
             core: Core::new(config.core),
             mem: MemSystem {
                 hierarchy: Hierarchy::new(config.hierarchy, dram),
-                amu,
-                cache_pat,
-                pf_pat,
                 tlb: config.tlb.map(Tlb::new),
-                xmem_enabled,
                 tc_vpn: [TC_EMPTY; TC_ENTRIES],
                 tc_pfn: [0; TC_ENTRIES],
-                page_shift: os.page_table().page_size().trailing_zeros(),
+                page_shift: sys.os.page_table().page_size().trailing_zeros(),
                 warm_lines: [u64::MAX; WARM_FILTER_ENTRIES],
                 warm_dirty: [false; WARM_FILTER_ENTRIES],
-                os,
+                sys,
             },
             lib: XMemLib::new(),
             labels: BTreeMap::new(),
@@ -639,7 +674,7 @@ impl Machine {
     /// needs no hook: it models walk *cost* only and stores no frame
     /// numbers, so a migration cannot make it wrong.
     pub fn migrate_page(&mut self, va: u64, atom: Option<AtomId>) -> Result<u64, OsError> {
-        let pfn = self.mem.os.migrate_page(VirtAddr::new(va), atom)?;
+        let pfn = self.mem.sys.os.migrate_page(VirtAddr::new(va), atom)?;
         self.mem.invalidate_translation(va);
         Ok(pfn)
     }
@@ -648,7 +683,7 @@ impl Machine {
     fn snapshot(&self) -> Snapshot {
         let core = self.core.stats();
         let dram = self.mem.hierarchy.dram_stats();
-        let alb = self.mem.amu.alb_stats();
+        let alb = self.mem.sys.amu.alb_stats();
         let stride = self
             .mem
             .hierarchy
@@ -668,7 +703,7 @@ impl Machine {
             busy_bank_cycles: self.mem.hierarchy.dram().busy_bank_cycles(),
             alb_hits: alb.hits,
             alb_lookups: alb.lookups(),
-            amu_invalidations: self.mem.amu.alb_invalidations(),
+            amu_invalidations: self.mem.sys.amu.alb_invalidations(),
         }
     }
 
@@ -771,7 +806,7 @@ impl Machine {
             l2: self.mem.hierarchy.l2_stats(),
             l3: self.mem.hierarchy.l3_stats(),
             dram: self.mem.hierarchy.dram_stats(),
-            alb: self.mem.amu.alb_stats(),
+            alb: self.mem.sys.amu.alb_stats(),
             xmem_instructions: self.lib.counter().xmem_instructions(),
             instruction_overhead: self.lib.counter().overhead_fraction(),
             xmem_prefetch: self.mem.hierarchy.xmem_prefetch_stats(),
@@ -826,6 +861,7 @@ impl TraceSink for Machine {
         // The page table is about to grow: drop the translate cache.
         self.mem.tc_vpn = [TC_EMPTY; TC_ENTRIES];
         self.mem
+            .sys
             .os
             .malloc(bytes, atom)
             // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
@@ -852,13 +888,13 @@ impl TraceSink for Machine {
     }
 
     fn map(&mut self, atom: AtomId, start: u64, len: u64) {
-        if !self.mem.xmem_enabled {
+        if !self.mem.sys.xmem_enabled {
             return;
         }
         self.lib
             .atom_map(
-                &mut self.mem.amu,
-                self.mem.os.page_table(),
+                &mut self.mem.sys.amu,
+                self.mem.sys.os.page_table(),
                 atom,
                 VirtAddr::new(start),
                 len,
@@ -868,13 +904,13 @@ impl TraceSink for Machine {
     }
 
     fn unmap(&mut self, start: u64, len: u64) {
-        if !self.mem.xmem_enabled {
+        if !self.mem.sys.xmem_enabled {
             return;
         }
         self.lib
             .atom_unmap(
-                &mut self.mem.amu,
-                self.mem.os.page_table(),
+                &mut self.mem.sys.amu,
+                self.mem.sys.os.page_table(),
                 VirtAddr::new(start),
                 len,
             )
@@ -883,13 +919,13 @@ impl TraceSink for Machine {
     }
 
     fn map_2d(&mut self, atom: AtomId, base: u64, size_x: u64, size_y: u64, len_x: u64) {
-        if !self.mem.xmem_enabled {
+        if !self.mem.sys.xmem_enabled {
             return;
         }
         self.lib
             .atom_map_2d(
-                &mut self.mem.amu,
-                self.mem.os.page_table(),
+                &mut self.mem.sys.amu,
+                self.mem.sys.os.page_table(),
                 atom,
                 VirtAddr::new(base),
                 size_x,
@@ -901,13 +937,13 @@ impl TraceSink for Machine {
     }
 
     fn unmap_2d(&mut self, base: u64, size_x: u64, size_y: u64, len_x: u64) {
-        if !self.mem.xmem_enabled {
+        if !self.mem.sys.xmem_enabled {
             return;
         }
         self.lib
             .atom_unmap_2d(
-                &mut self.mem.amu,
-                self.mem.os.page_table(),
+                &mut self.mem.sys.amu,
+                self.mem.sys.os.page_table(),
                 VirtAddr::new(base),
                 size_x,
                 size_y,
@@ -918,21 +954,21 @@ impl TraceSink for Machine {
     }
 
     fn activate(&mut self, atom: AtomId) {
-        if !self.mem.xmem_enabled {
+        if !self.mem.sys.xmem_enabled {
             return;
         }
         self.lib
-            .atom_activate(&mut self.mem.amu, self.mem.os.page_table(), atom)
+            .atom_activate(&mut self.mem.sys.amu, self.mem.sys.os.page_table(), atom)
             // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
             .expect("ATOM_ACTIVATE failed");
     }
 
     fn deactivate(&mut self, atom: AtomId) {
-        if !self.mem.xmem_enabled {
+        if !self.mem.sys.xmem_enabled {
             return;
         }
         self.lib
-            .atom_deactivate(&mut self.mem.amu, self.mem.os.page_table(), atom)
+            .atom_deactivate(&mut self.mem.sys.amu, self.mem.sys.os.page_table(), atom)
             // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
             .expect("ATOM_DEACTIVATE failed");
     }
@@ -984,7 +1020,8 @@ pub fn run_workload_with_telemetry(
     epoch_instructions: Option<u64>,
     generate: impl Fn(&mut dyn TraceSink),
 ) -> (RunReport, Option<TelemetrySeries>) {
-    run_generator(config, epoch_instructions, &ClosureGen(generate))
+    let out = run_generator_sampled(config, epoch_instructions, None, &ClosureGen(generate));
+    (out.report, out.telemetry)
 }
 
 /// A workload generator the two-pass runner can replay into any sink type.
@@ -1067,20 +1104,12 @@ pub struct RunOutput {
 /// concrete sink type of each pass. [`RunSpec::execute`] routes here, so
 /// sweep runs pay zero per-op virtual dispatch on the generation side.
 ///
+/// With a [`SamplingSpec`] the run executes under interval sampling.
+/// `None` runs fully detailed; a 100%-coverage spec
+/// ([`SamplingSpec::full_coverage`]) produces a report byte-identical to
+/// `None` (the byte-identity suite pins this).
+///
 /// [`RunSpec::execute`]: crate::harness::RunSpec::execute
-pub fn run_generator<G: Generator>(
-    config: &SystemConfig,
-    epoch_instructions: Option<u64>,
-    generator: &G,
-) -> (RunReport, Option<TelemetrySeries>) {
-    let out = run_generator_sampled(config, epoch_instructions, None, generator);
-    (out.report, out.telemetry)
-}
-
-/// Like [`run_generator`], additionally executing under an interval
-/// [`SamplingSpec`] when one is given. `None` runs fully detailed; a
-/// 100%-coverage spec ([`SamplingSpec::full_coverage`]) produces a report
-/// byte-identical to `None` (the byte-identity suite pins this).
 pub fn run_generator_sampled<G: Generator>(
     config: &SystemConfig,
     epoch_instructions: Option<u64>,
@@ -1092,18 +1121,15 @@ pub fn run_generator_sampled<G: Generator>(
     generator.emit(&mut scan);
     let segment = scan.segment();
     // Load time: GAT + translator + PATs + placement primitives.
-    let translator = AttributeTranslator::with_row_bytes(config.dram.row_bytes);
-    // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-    let loaded = load_segment(ProcessId(0), &segment, &translator).expect("program load failed");
-    // Execution: generators emit per-op; the BatchEmitter buffers ops into
-    // OpBatches and the machine executes them through the batched path.
-    let mut machine = Machine::new(config, &loaded);
+    let mut machine = Machine::new(config, &segment);
     if let Some(epoch) = epoch_instructions {
         machine.enable_telemetry(epoch);
     }
     if let Some(spec) = sampling {
         machine.enable_sampling(spec);
     }
+    // Execution: generators emit per-op; the BatchEmitter buffers ops into
+    // OpBatches and the machine executes them through the batched path.
     {
         let mut emitter = BatchEmitter::new(&mut machine);
         generator.emit(&mut emitter);
@@ -1127,10 +1153,7 @@ pub fn run_workload_scalar(
     let mut scan = ScanSink::new();
     generate(&mut scan);
     let segment = scan.segment();
-    let translator = AttributeTranslator::with_row_bytes(config.dram.row_bytes);
-    // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-    let loaded = load_segment(ProcessId(0), &segment, &translator).expect("program load failed");
-    let mut machine = Machine::new(config, &loaded);
+    let mut machine = Machine::new(config, &segment);
     generate(&mut machine);
     machine.report()
 }
@@ -1150,10 +1173,7 @@ pub fn run_workload_sampled_scalar(
     let mut scan = ScanSink::new();
     generate(&mut scan);
     let segment = scan.segment();
-    let translator = AttributeTranslator::with_row_bytes(config.dram.row_bytes);
-    // simlint: allow(unwrap, reason = "workload-invariant violation; test-only reference arm")
-    let loaded = load_segment(ProcessId(0), &segment, &translator).expect("program load failed");
-    let mut machine = Machine::new(config, &loaded);
+    let mut machine = Machine::new(config, &segment);
     machine.enable_sampling(spec);
     generate(&mut machine);
     machine.finish()
@@ -1305,12 +1325,7 @@ mod tests {
     /// A bare machine over an empty program, for tests that drive the
     /// sink interface directly.
     fn bare_machine(cfg: &SystemConfig) -> Machine {
-        let scan = ScanSink::new();
-        let segment = scan.segment();
-        let translator = AttributeTranslator::with_row_bytes(cfg.dram.row_bytes);
-        let loaded =
-            load_segment(ProcessId(0), &segment, &translator).expect("empty program loads");
-        Machine::new(cfg, &loaded)
+        Machine::new(cfg, &ScanSink::new().segment())
     }
 
     #[test]
@@ -1408,7 +1423,7 @@ mod tests {
         let p = params();
         let cfg = SystemConfig::scaled_use_case1(64 << 10, SystemKind::Xmem);
         let generator = ClosureGen(|s: &mut dyn TraceSink| PolybenchKernel::Gemm.generate(&p, s));
-        let (plain, _) = run_generator(&cfg, None, &generator);
+        let plain = run_generator_sampled(&cfg, None, None, &generator).report;
         let sampled = run_generator_sampled(
             &cfg,
             None,
@@ -1450,7 +1465,7 @@ mod tests {
         assert_eq!(summary.spec, spec);
         assert!(!summary.clusters.is_empty());
         // The sampled IPC estimate lands near the full run's IPC.
-        let (full, _) = run_generator(&cfg, None, &generator);
+        let full = run_generator_sampled(&cfg, None, None, &generator).report;
         let full_ipc = full.core.instructions as f64 / full.core.cycles as f64;
         let est = summary.metric("ipc").expect("ipc metric present");
         assert!(est.mean > 0.0 && est.min <= est.mean && est.mean <= est.max);

@@ -36,30 +36,24 @@
 //! [`CorunReport::bus`] and the per-cache snoop counters.
 
 use crate::coherence::{mesi_access, MesiDomains};
-use crate::config::{CoherenceMode, FramePolicyKind, MultiCoreConfig};
-use cache_sim::cache::{Cache, CacheStats, Eviction, InsertPriority};
+use crate::config::{CoherenceMode, MultiCoreConfig};
+use crate::machine::LoadedSystem;
+use cache_sim::cache::CacheStats;
 use cache_sim::coherence::{BusStats, SnoopBus};
-use cache_sim::pin::{select_pinned, PinCandidate};
-use cache_sim::prefetch::MultiStridePrefetcher;
+use cache_sim::hierarchy::{PrivateLevels, SharedLevels};
 use cache_sim::XmemMode;
 use cpu_sim::batch::{MemoryPath, OpAttrs};
 use cpu_sim::core::{Core, CoreStats};
 use dram_sim::{Dram, DramStats};
-use os_sim::loader::load_segment;
-use os_sim::os::Os;
-use os_sim::placement::FramePolicy;
 use std::collections::{BTreeMap, BTreeSet};
 use workloads::sink::TraceEvent;
-use xmem_core::aam::AamConfig;
-use xmem_core::addr::{PhysAddr, VirtAddr};
+use xmem_core::addr::VirtAddr;
 use xmem_core::alb::AlbStats;
-use xmem_core::amu::{AmuConfig, AtomManagementUnit, Mmu};
+use xmem_core::amu::Mmu;
 use xmem_core::atom::{AtomId, StaticAtom};
 use xmem_core::attrs::{DataProps, RwChar};
-use xmem_core::pat::Pat;
-use xmem_core::process::ProcessId;
 use xmem_core::segment::AtomSegment;
-use xmem_core::translate::{AttributeTranslator, CachePrimitive, PrefetcherPrimitive};
+use xmem_core::translate::CachePrimitive;
 use xmem_core::xmemlib::{CallSite, XMemLib};
 
 /// Result of a co-run: per-core core statistics plus the shared components.
@@ -89,312 +83,19 @@ impl CorunReport {
     }
 }
 
-/// The shared memory system every core's accesses flow into.
+/// The co-run memory system: one [`PrivateLevels`] per core in front of
+/// the [`SharedLevels`] every core's misses flow into, plus the machine's
+/// one OS/AMU/PAT set and the snooping bus.
 #[derive(Debug)]
 struct SharedMem {
-    l1s: Vec<Cache>,
-    l2s: Vec<Cache>,
-    l3: Cache,
-    dram: Dram,
-    stride_pfs: Vec<Option<MultiStridePrefetcher>>,
-    amu: AtomManagementUnit,
-    cache_pat: Pat<CachePrimitive>,
-    pf_pat: Pat<PrefetcherPrimitive>,
-    os: Os,
-    mode: XmemMode,
+    cores: Vec<PrivateLevels>,
+    shared: SharedLevels,
+    sys: LoadedSystem,
     coherence: CoherenceMode,
     bus: SnoopBus,
-    pinned: Vec<AtomId>,
-    /// Atoms excluded from pinning (coherence-aware placement: migratory
-    /// shared data whose lines bounce between private caches anyway).
-    pin_exempt: BTreeSet<AtomId>,
-    last_epoch: u64,
-    inflight_prefetches: BTreeSet<u64>,
     l1_lat: u64,
     l2_lat: u64,
-    l3_lat: u64,
-    xmem_prefetch_degree: usize,
     line_bytes: u64,
-}
-
-impl SharedMem {
-    /// §5.2(2): re-run the greedy pinning over the active atoms of *all*
-    /// cores whenever the (shared) AMU epoch changes.
-    fn refresh_pinning(&mut self) {
-        let epoch = self.amu.epoch();
-        if epoch == self.last_epoch {
-            return;
-        }
-        self.last_epoch = epoch;
-        if self.mode != XmemMode::Full {
-            return;
-        }
-        let candidates: Vec<PinCandidate> = self
-            .amu
-            .active_atoms()
-            .into_iter()
-            .filter_map(|atom| {
-                if self.pin_exempt.contains(&atom) {
-                    return None;
-                }
-                let prim = self.cache_pat.get(atom)?;
-                prim.pin_candidate.then_some(PinCandidate {
-                    atom,
-                    reuse: prim.reuse,
-                    size_bytes: self.amu.mapped_bytes(atom),
-                })
-            })
-            .collect();
-        self.l3.age_pinned();
-        self.pinned = select_pinned(&candidates, self.l3.config().size_bytes);
-    }
-
-    fn writeback_shared(&mut self, ev: Eviction, now: u64) {
-        if ev.dirty {
-            let _ = self.dram.serve(ev.addr, OpAttrs::write(), now);
-        }
-    }
-
-    fn guided_prefetch(&mut self, pa: u64, atom: AtomId, t_mem: u64) {
-        let Some(prim) = self.pf_pat.get(atom) else {
-            return;
-        };
-        let Some(stride) = prim.stride else {
-            return;
-        };
-        let line = self.line_bytes;
-        let forward = stride >= 0;
-        let exts = self.amu.extents(atom);
-        if exts.is_empty() {
-            return;
-        }
-        let mut ei = exts
-            .iter()
-            .position(|e| pa >= e.start.raw() && pa < e.start.raw() + e.len)
-            .unwrap_or(0);
-        let mut pos = pa & !(line - 1);
-        let mut targets = Vec::with_capacity(self.xmem_prefetch_degree);
-        for _ in 0..self.xmem_prefetch_degree {
-            if forward {
-                pos += line;
-                if pos >= exts[ei].start.raw() + exts[ei].len {
-                    ei = (ei + 1) % exts.len();
-                    pos = exts[ei].start.raw() & !(line - 1);
-                }
-            } else {
-                let ext_start = exts[ei].start.raw() & !(line - 1);
-                if pos <= ext_start {
-                    ei = (ei + exts.len() - 1) % exts.len();
-                    pos = (exts[ei].start.raw() + exts[ei].len - 1) & !(line - 1);
-                } else {
-                    pos -= line;
-                }
-            }
-            targets.push(pos);
-        }
-        let priority = if self.pinned.contains(&atom) {
-            InsertPriority::Pinned
-        } else {
-            InsertPriority::Normal
-        };
-        for target in targets {
-            if self.l3.contains(target) {
-                continue;
-            }
-            let _ = self.dram.serve_prefetch(target, t_mem);
-            if let Some(ev) = self.l3.fill(target, false, priority) {
-                self.writeback_shared(ev, t_mem);
-            }
-            if self.inflight_prefetches.len() < (1 << 16) {
-                self.inflight_prefetches.insert(target);
-            }
-        }
-    }
-
-    /// One access from `core` (same policy structure as the single-core
-    /// [`cache_sim::hierarchy::Hierarchy`], with private L1/L2/prefetcher
-    /// and shared L3/DRAM/AMU).
-    fn serve_core(&mut self, core: usize, pa: u64, is_write: bool, now: u64) -> u64 {
-        if self.coherence == CoherenceMode::Mesi {
-            return self.serve_core_mesi(core, pa, is_write, now);
-        }
-        let line_addr = pa & !(self.line_bytes - 1);
-        if self.l1s[core].probe(pa, is_write) {
-            return self.l1_lat;
-        }
-        if self.l2s[core].probe(pa, false) {
-            if let Some(ev) = self.l1s[core].fill(line_addr, is_write, InsertPriority::Normal) {
-                if ev.dirty && !self.l2s[core].set_dirty(ev.addr) && !self.l3.set_dirty(ev.addr) {
-                    let _ = self.dram.serve(ev.addr, OpAttrs::write(), now);
-                }
-            }
-            return self.l1_lat + self.l2_lat;
-        }
-
-        if self.mode != XmemMode::Off {
-            self.refresh_pinning();
-        }
-        let atom = if self.mode != XmemMode::Off {
-            self.amu.active_atom_at(PhysAddr::new(pa))
-        } else {
-            None
-        };
-        let l3_total = self.l1_lat + self.l2_lat + self.l3_lat;
-        let l3_hit = self.l3.probe(pa, false);
-        let stride_reqs = self.stride_pfs[core]
-            .as_mut()
-            .map(|pf| pf.train(pa))
-            .unwrap_or_default();
-
-        if l3_hit {
-            self.inflight_prefetches.remove(&line_addr);
-            if let Some(ev) = self.l2s[core].fill(line_addr, false, InsertPriority::Normal) {
-                if ev.dirty && !self.l3.set_dirty(ev.addr) {
-                    let _ = self.dram.serve(ev.addr, OpAttrs::write(), now);
-                }
-            }
-            if let Some(ev) = self.l1s[core].fill(line_addr, is_write, InsertPriority::Normal) {
-                if ev.dirty && !self.l2s[core].set_dirty(ev.addr) && !self.l3.set_dirty(ev.addr) {
-                    let _ = self.dram.serve(ev.addr, OpAttrs::write(), now);
-                }
-            }
-            self.issue_stride(stride_reqs, now + l3_total);
-            return l3_total;
-        }
-
-        let t_mem = now + l3_total;
-        let dram_lat = self.dram.serve(line_addr, OpAttrs::read(), t_mem);
-        let priority = match (self.mode, atom) {
-            (XmemMode::Full, Some(a)) if self.pinned.contains(&a) => InsertPriority::Pinned,
-            _ => InsertPriority::Normal,
-        };
-        if let Some(ev) = self.l3.fill(line_addr, false, priority) {
-            self.writeback_shared(ev, t_mem);
-        }
-        if let Some(ev) = self.l2s[core].fill(line_addr, false, InsertPriority::Normal) {
-            if ev.dirty && !self.l3.set_dirty(ev.addr) {
-                let _ = self.dram.serve(ev.addr, OpAttrs::write(), now);
-            }
-        }
-        if let Some(ev) = self.l1s[core].fill(line_addr, is_write, InsertPriority::Normal) {
-            if ev.dirty && !self.l2s[core].set_dirty(ev.addr) && !self.l3.set_dirty(ev.addr) {
-                let _ = self.dram.serve(ev.addr, OpAttrs::write(), now);
-            }
-        }
-
-        let guided = match (self.mode, atom) {
-            (XmemMode::Full, Some(a)) if self.pinned.contains(&a) => {
-                self.guided_prefetch(pa, a, t_mem);
-                true
-            }
-            (XmemMode::PrefetchOnly, Some(a)) => {
-                let reuse = self.cache_pat.get(a).map(|p| p.reuse).unwrap_or(0);
-                if reuse > 0 {
-                    self.guided_prefetch(pa, a, t_mem);
-                    true
-                } else {
-                    false
-                }
-            }
-            _ => false,
-        };
-        if !guided {
-            self.issue_stride(stride_reqs, t_mem);
-        }
-        l3_total + dram_lat
-    }
-
-    /// The MESI variant of [`SharedMem::serve_core`]: the coherence engine
-    /// owns the private L1/L2 levels and the bus; this wrapper sinks the
-    /// coherence writebacks toward L3/DRAM and runs the shared-level
-    /// (L3/DRAM/prefetch/pinning) policy for accesses the peers could not
-    /// supply. Cache-to-cache transfers bypass the L3 entirely, and the
-    /// stride prefetchers train only on the memory path (bus-satisfied
-    /// accesses carry no locality the L3 could exploit).
-    fn serve_core_mesi(&mut self, core: usize, pa: u64, is_write: bool, now: u64) -> u64 {
-        let line_addr = pa & !(self.line_bytes - 1);
-        let mut domains = MesiDomains {
-            l1s: &mut self.l1s,
-            l2s: &mut self.l2s,
-            bus: &mut self.bus,
-            l1_lat: self.l1_lat,
-            l2_lat: self.l2_lat,
-            line_bytes: self.line_bytes,
-        };
-        let acc = mesi_access(&mut domains, core, pa, is_write, now);
-        for &(_, wb) in &acc.writebacks {
-            if !self.l3.set_dirty(wb) {
-                let _ = self.dram.serve(wb, OpAttrs::write(), now);
-            }
-        }
-        if !acc.from_memory {
-            return acc.latency;
-        }
-
-        if self.mode != XmemMode::Off {
-            self.refresh_pinning();
-        }
-        let atom = if self.mode != XmemMode::Off {
-            self.amu.active_atom_at(PhysAddr::new(pa))
-        } else {
-            None
-        };
-        let l3_total = acc.latency + self.l3_lat;
-        let l3_hit = self.l3.probe(pa, false);
-        let stride_reqs = self.stride_pfs[core]
-            .as_mut()
-            .map(|pf| pf.train(pa))
-            .unwrap_or_default();
-
-        if l3_hit {
-            self.inflight_prefetches.remove(&line_addr);
-            self.issue_stride(stride_reqs, now + l3_total);
-            return l3_total;
-        }
-
-        let t_mem = now + l3_total;
-        let dram_lat = self.dram.serve(line_addr, OpAttrs::read(), t_mem);
-        let priority = match (self.mode, atom) {
-            (XmemMode::Full, Some(a)) if self.pinned.contains(&a) => InsertPriority::Pinned,
-            _ => InsertPriority::Normal,
-        };
-        if let Some(ev) = self.l3.fill(line_addr, false, priority) {
-            self.writeback_shared(ev, t_mem);
-        }
-        let guided = match (self.mode, atom) {
-            (XmemMode::Full, Some(a)) if self.pinned.contains(&a) => {
-                self.guided_prefetch(pa, a, t_mem);
-                true
-            }
-            (XmemMode::PrefetchOnly, Some(a)) => {
-                let reuse = self.cache_pat.get(a).map(|p| p.reuse).unwrap_or(0);
-                if reuse > 0 {
-                    self.guided_prefetch(pa, a, t_mem);
-                    true
-                } else {
-                    false
-                }
-            }
-            _ => false,
-        };
-        if !guided {
-            self.issue_stride(stride_reqs, t_mem);
-        }
-        l3_total + dram_lat
-    }
-
-    fn issue_stride(&mut self, reqs: Vec<cache_sim::prefetch::PrefetchRequest>, t_mem: u64) {
-        for req in reqs {
-            let target = req.addr & !(self.line_bytes - 1);
-            if self.l3.contains(target) {
-                continue;
-            }
-            let _ = self.dram.serve_prefetch(target, t_mem);
-            if let Some(ev) = self.l3.fill(target, false, InsertPriority::Normal) {
-                self.writeback_shared(ev, t_mem);
-            }
-        }
-    }
 }
 
 /// Adapter giving one core's `Core::step` a view of the shared memory.
@@ -423,15 +124,47 @@ fn translate_va(ranges: &[(u64, u64, u64)], va: u64) -> u64 {
 }
 
 impl MemoryPath for CoreMemView<'_> {
+    /// One access from this core, through the same private/shared walk as
+    /// the single-core [`cache_sim::Hierarchy`].
+    ///
+    /// Under MESI the coherence engine owns the private levels and the bus
+    /// instead; its writebacks sink into the shared levels, and only
+    /// accesses the peers could not supply reach the L3. Cache-to-cache
+    /// transfers bypass the L3 entirely, and the stride prefetchers train
+    /// only on the memory path (bus-satisfied accesses carry no locality
+    /// the L3 could exploit).
     fn serve(&mut self, va: u64, attrs: OpAttrs, now: u64) -> u64 {
-        let actual_va = translate_va(self.ranges, va);
-        let pa = self
-            .mem
+        let (mem, core, is_write) = (&mut *self.mem, self.core, attrs.write);
+        let pa = mem
+            .sys
             .os
             .page_table()
-            .translate(VirtAddr::new(actual_va))
-            .unwrap_or_else(|| panic!("core {}: unallocated VA {va:#x}", self.core));
-        self.mem.serve_core(self.core, pa.raw(), attrs.write, now)
+            .translate(VirtAddr::new(translate_va(self.ranges, va)))
+            .unwrap_or_else(|| panic!("core {core}: unallocated VA {va:#x}"))
+            .raw();
+        let xmem = mem.sys.xmem();
+        if mem.coherence == CoherenceMode::None {
+            return mem.cores[core].serve::<true>(&mut mem.shared, pa, is_write, now, xmem);
+        }
+        let mut domains = MesiDomains {
+            cores: &mut mem.cores,
+            bus: &mut mem.bus,
+            l1_lat: mem.l1_lat,
+            l2_lat: mem.l2_lat,
+            line_bytes: mem.line_bytes,
+        };
+        let acc = mesi_access(&mut domains, core, pa, is_write, now);
+        for &(_, wb) in &acc.writebacks {
+            mem.shared.write_back(wb, now);
+        }
+        if !acc.from_memory {
+            return acc.latency;
+        }
+        let stride_pf = mem.cores[core].stride_pf.as_mut();
+        acc.latency
+            + mem
+                .shared
+                .serve::<true>(pa, now + acc.latency, stride_pf, xmem, |_| {})
     }
 }
 
@@ -458,7 +191,7 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
     let mut shared_atoms: BTreeMap<u64, AtomId> = BTreeMap::new();
     let mut shared_ids: BTreeSet<AtomId> = BTreeSet::new();
     let coherence_aware = config.coherence == CoherenceMode::Mesi && config.coherence_aware_pinning;
-    let mut pin_exempt: BTreeSet<AtomId> = BTreeSet::new();
+    let mut migratory: Vec<AtomId> = Vec::new();
     for (core, log) in logs.iter().enumerate() {
         let mut count = 0u8;
         for ev in log {
@@ -513,7 +246,7 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                                 && attrs.props().contains(DataProps::SHARED)
                                 && attrs.rw() != RwChar::ReadOnly
                             {
-                                pin_exempt.insert(id);
+                                migratory.push(id);
                             }
                             id
                         }
@@ -527,61 +260,40 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
     }
 
     // ── load time: GAT + PATs + frame policy over the merged atom set ───
-    let translator = AttributeTranslator::with_row_bytes(config.dram.row_bytes);
-    // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-    let loaded = load_segment(ProcessId(0), &segment, &translator).expect("load");
-    let policy = match config.frame_policy {
-        FramePolicyKind::Sequential => FramePolicy::Sequential,
-        FramePolicyKind::Randomized { seed } => FramePolicy::Randomized { seed },
-        FramePolicyKind::XmemPlacement => FramePolicy::Xmem {
-            atoms: loaded.placement.clone(),
-            mapping: config.mapping,
-            dram: config.dram,
-        },
-    };
-    let xmem_enabled = config.xmem != XmemMode::Off;
-    let mut cache_pat = Pat::new();
-    let mut pf_pat = Pat::new();
-    if xmem_enabled {
-        cache_pat.fill_from_gat(&loaded.process.gat, |a| translator.for_cache(a));
-        pf_pat.fill_from_gat(&loaded.process.gat, |a| translator.for_prefetcher(a));
+    let mut sys = LoadedSystem::load(
+        &segment,
+        config.frame_policy,
+        config.mapping,
+        config.dram,
+        config.phys_bytes,
+        config.xmem != XmemMode::Off,
+    );
+    // Migratory atoms are withdrawn from pinning through the cache's PAT,
+    // so the shared levels' pinning needs no co-run special case.
+    for atom in migratory {
+        if let Some(&prim) = sys.cache_pat.get(atom) {
+            sys.cache_pat.set(
+                atom,
+                CachePrimitive {
+                    pin_candidate: false,
+                    ..prim
+                },
+            );
+        }
     }
-
+    let xmem_enabled = sys.xmem_enabled;
+    let hierarchy = config.hierarchy();
     let mut mem = SharedMem {
-        l1s: (0..config.cores).map(|_| Cache::new(config.l1)).collect(),
-        l2s: (0..config.cores).map(|_| Cache::new(config.l2)).collect(),
-        l3: Cache::new(config.l3),
-        dram: Dram::new(config.dram, config.mapping),
-        stride_pfs: (0..config.cores)
-            .map(|_| {
-                config.stride_prefetcher.then(|| {
-                    MultiStridePrefetcher::new(config.stride_streams, config.prefetch_degree)
-                })
-            })
+        cores: (0..config.cores)
+            .map(|_| PrivateLevels::new(&hierarchy))
             .collect(),
-        amu: AtomManagementUnit::new(AmuConfig {
-            aam: AamConfig {
-                phys_bytes: config.phys_bytes,
-                ..AamConfig::default()
-            },
-            alb_entries: 256,
-            page_size: 4096,
-        }),
-        cache_pat,
-        pf_pat,
-        os: Os::new(config.phys_bytes, 4096, policy),
-        mode: config.xmem,
-        pinned: Vec::new(),
-        last_epoch: u64::MAX,
-        inflight_prefetches: BTreeSet::new(),
-        l1_lat: config.l1.latency,
-        l2_lat: config.l2.latency,
-        l3_lat: config.l3.latency,
-        xmem_prefetch_degree: config.xmem_prefetch_degree,
-        line_bytes: config.l1.line_bytes,
+        shared: SharedLevels::new(&hierarchy, Dram::new(config.dram, config.mapping)),
+        sys,
         coherence: config.coherence,
         bus: SnoopBus::new(config.bus),
-        pin_exempt,
+        l1_lat: config.l1.latency,
+        l2_lat: config.l2.latency,
+        line_bytes: config.l1.line_bytes,
     };
 
     // ── replay ───────────────────────────────────────────────────────────
@@ -629,6 +341,7 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                 TraceEvent::Alloc { bytes, atom, base } => {
                     let global_atom = atom.map(|a| rename(i, a));
                     let actual = mem
+                        .sys
                         .os
                         .malloc(bytes, global_atom)
                         // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
@@ -650,6 +363,7 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                         None => {
                             let global_atom = atom.map(|a| rename(i, a));
                             let pa = mem
+                                .sys
                                 .os
                                 .malloc(bytes, global_atom)
                                 // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
@@ -674,8 +388,8 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                             }
                         }
                         lib.atom_map(
-                            &mut mem.amu,
-                            mem.os.page_table(),
+                            &mut mem.sys.amu,
+                            mem.sys.os.page_table(),
                             global,
                             VirtAddr::new(actual),
                             len,
@@ -694,8 +408,8 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                             }
                         }
                         lib.atom_unmap(
-                            &mut mem.amu,
-                            mem.os.page_table(),
+                            &mut mem.sys.amu,
+                            mem.sys.os.page_table(),
                             VirtAddr::new(actual),
                             len,
                         )
@@ -713,8 +427,8 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                     if xmem_enabled {
                         let actual = translate_va(&ranges[i], base);
                         lib.atom_map_2d(
-                            &mut mem.amu,
-                            mem.os.page_table(),
+                            &mut mem.sys.amu,
+                            mem.sys.os.page_table(),
                             rename(i, atom),
                             VirtAddr::new(actual),
                             size_x,
@@ -734,8 +448,8 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                     if xmem_enabled {
                         let actual = translate_va(&ranges[i], base);
                         lib.atom_unmap_2d(
-                            &mut mem.amu,
-                            mem.os.page_table(),
+                            &mut mem.sys.amu,
+                            mem.sys.os.page_table(),
                             VirtAddr::new(actual),
                             size_x,
                             size_y,
@@ -755,7 +469,7 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                                 continue; // already active on another core's behalf
                             }
                         }
-                        lib.atom_activate(&mut mem.amu, mem.os.page_table(), global)
+                        lib.atom_activate(&mut mem.sys.amu, mem.sys.os.page_table(), global)
                             // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
                             .expect("activate");
                     }
@@ -769,7 +483,7 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
                                 continue; // other cores still want it active
                             }
                         }
-                        lib.atom_deactivate(&mut mem.amu, mem.os.page_table(), global)
+                        lib.atom_deactivate(&mut mem.sys.amu, mem.sys.os.page_table(), global)
                             // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
                             .expect("deactivate");
                     }
@@ -780,11 +494,11 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
 
     CorunReport {
         cores: cores.iter().map(|c| c.stats()).collect(),
-        l1s: mem.l1s.iter().map(|c| c.stats()).collect(),
-        l2s: mem.l2s.iter().map(|c| c.stats()).collect(),
-        l3: mem.l3.stats(),
-        dram: mem.dram.stats(),
-        alb: mem.amu.alb_stats(),
+        l1s: mem.cores.iter().map(|c| c.l1.stats()).collect(),
+        l2s: mem.cores.iter().map(|c| c.l2.stats()).collect(),
+        l3: mem.shared.l3_stats(),
+        dram: mem.shared.dram_stats(),
+        alb: mem.sys.amu.alb_stats(),
         bus: mem.bus.stats(),
     }
 }
