@@ -35,6 +35,13 @@ pub struct Eviction {
     pub dirty: bool,
 }
 
+/// The way a probe hit or a fill landed in: a handle to one resident
+/// line's state, valid until the cache's contents next change. The
+/// coherence engine updates a line's MESI state through it instead of
+/// searching the set again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot(usize);
+
 /// Hit/miss statistics for one cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -128,6 +135,32 @@ const META_PINNED: u8 = 1 << 2;
 /// SHiP: whether the line was re-referenced since insertion.
 const META_OUTCOME: u8 = 1 << 3;
 
+/// RRIP victim among one set's ways: the first unpinned way holding the
+/// largest RRPV `m`, after ageing every unpinned way by `RRPV_MAX - m`.
+/// That is the victim and ageing of the classic loop (age every unpinned
+/// way by one, rescan for `RRPV_MAX`) after its `RRPV_MAX - m` rounds,
+/// found in one pass; like the loop's first scan, it stops at the first
+/// unpinned way already at `RRPV_MAX`. `None` when every way is pinned.
+fn rrip_victim(rrpv: &mut [u8], meta: &[u8]) -> Option<usize> {
+    let mut victim: Option<(usize, u8)> = None;
+    for (w, (&r, &m)) in rrpv.iter().zip(meta).enumerate() {
+        if m & META_PINNED == 0 && victim.is_none_or(|(_, best)| r > best) {
+            if r >= RRPV_MAX {
+                return Some(w);
+            }
+            victim = Some((w, r));
+        }
+    }
+    let (v, best) = victim?;
+    let age = RRPV_MAX - best;
+    for (r, &m) in rrpv.iter_mut().zip(meta) {
+        if m & META_PINNED == 0 {
+            *r += age;
+        }
+    }
+    Some(v)
+}
+
 /// The cache model.
 ///
 /// Addresses passed in are byte addresses; the cache internally works on
@@ -172,7 +205,8 @@ pub struct Cache {
     /// Packed valid/dirty/pinned/outcome bits ([`META_VALID`] etc.).
     meta: Vec<u8>,
     /// MESI state lane ([`MesiState`] as u8). Written only through
-    /// [`Cache::set_coh_state`]/[`Cache::snoop_invalidate`], so in
+    /// [`Cache::set_coh_state`], [`Cache::set_coh_state_at`] and
+    /// [`Cache::snoop_invalidate`], so in
     /// coherence-free runs the lane stays all-zero and costs nothing on
     /// the hot probe/fill paths.
     coh: Vec<u8>,
@@ -303,6 +337,12 @@ impl Cache {
     /// their own helpers.
     #[inline]
     pub fn probe(&mut self, addr: u64, is_write: bool) -> bool {
+        self.probe_slot(addr, is_write).is_some()
+    }
+
+    /// [`Cache::probe`], returning the slot that hit.
+    #[inline]
+    pub fn probe_slot(&mut self, addr: u64, is_write: bool) -> Option<Slot> {
         self.clock += 1;
         let (set, tag) = self.line_index(addr);
         let ways = self.config.ways;
@@ -310,11 +350,11 @@ impl Cache {
         match self.find_way(set * ways, ways, tag) {
             Some(i) => {
                 self.probe_hit(i, is_write);
-                true
+                Some(Slot(i))
             }
             None => {
                 self.probe_miss(set);
-                false
+                None
             }
         }
     }
@@ -364,7 +404,18 @@ impl Cache {
     ///
     /// `Pinned` fills are demoted to `Normal` when the set already holds
     /// the per-set pin cap of pinned lines (the 75% rule).
+    #[inline]
     pub fn fill(&mut self, addr: u64, dirty: bool, priority: InsertPriority) -> Option<Eviction> {
+        self.fill_slot(addr, dirty, priority).1
+    }
+
+    /// [`Cache::fill`], also returning the slot now holding `addr`.
+    pub fn fill_slot(
+        &mut self,
+        addr: u64,
+        dirty: bool,
+        priority: InsertPriority,
+    ) -> (Slot, Option<Eviction>) {
         self.clock += 1;
         let clock = self.clock;
         let (set, tag) = self.line_index(addr);
@@ -433,7 +484,7 @@ impl Cache {
             if dirty {
                 self.meta[i] |= META_DIRTY;
             }
-            return None;
+            return (Slot(i), None);
         }
 
         // Victim selection: an invalid way wins outright (invalid ways hold
@@ -454,31 +505,17 @@ impl Cache {
                             // simlint: allow(unwrap, reason = "a cache set always has at least one way")
                             .expect("non-empty set")
                     }),
-                _ => {
-                    // RRIP victim search: find RRPV == MAX among unpinned,
-                    // aging as needed.
-                    loop {
-                        if let Some(i) = (base..base + ways)
-                            .find(|&i| self.meta[i] & META_PINNED == 0 && self.rrpv[i] >= RRPV_MAX)
-                        {
-                            break i;
-                        }
-                        let mut any_unpinned = false;
-                        for i in base..base + ways {
-                            if self.meta[i] & META_PINNED == 0 {
-                                any_unpinned = true;
-                                self.rrpv[i] = (self.rrpv[i] + 1).min(RRPV_MAX);
-                            }
-                        }
-                        if !any_unpinned {
-                            // Fully pinned set: evict the LRU pinned line.
-                            break self
-                                .min_lru_where(base, ways, 0, 0)
-                                // simlint: allow(unwrap, reason = "a cache set always has at least one way")
-                                .expect("non-empty set");
-                        }
-                    }
-                }
+                _ => match rrip_victim(
+                    &mut self.rrpv[base..base + ways],
+                    &self.meta[base..base + ways],
+                ) {
+                    Some(w) => base + w,
+                    // Fully pinned set: evict the LRU pinned line.
+                    None => self
+                        .min_lru_where(base, ways, 0, 0)
+                        // simlint: allow(unwrap, reason = "a cache set always has at least one way")
+                        .expect("non-empty set"),
+                },
             }
         };
 
@@ -542,12 +579,13 @@ impl Cache {
                 self.stats.writebacks += 1;
             }
             let line_no = (ev_tag << sets_shift) | set_mask_base;
-            Some(Eviction {
+            let ev = Eviction {
                 addr: line_no << line_shift,
                 dirty: ev_meta & META_DIRTY != 0,
-            })
+            };
+            (Slot(victim), Some(ev))
         } else {
-            None
+            (Slot(victim), None)
         }
     }
 
@@ -608,15 +646,26 @@ impl Cache {
         let (set, tag) = self.line_index(addr);
         let ways = self.config.ways;
         if let Some(i) = self.find_way(set * ways, ways, tag) {
-            self.coh[i] = state as u8;
-            if state == MesiState::Modified {
-                self.meta[i] |= META_DIRTY;
-            } else {
-                self.meta[i] &= !META_DIRTY;
-            }
+            self.set_coh_state_at(Slot(i), state);
             return true;
         }
         false
+    }
+
+    /// The MESI state of the line in `slot`.
+    pub fn coh_state_at(&self, slot: Slot) -> MesiState {
+        MesiState::from_lane(self.coh[slot.0])
+    }
+
+    /// [`Cache::set_coh_state`] for the line in `slot`.
+    pub fn set_coh_state_at(&mut self, slot: Slot, state: MesiState) {
+        let i = slot.0;
+        self.coh[i] = state as u8;
+        if state == MesiState::Modified {
+            self.meta[i] |= META_DIRTY;
+        } else {
+            self.meta[i] &= !META_DIRTY;
+        }
     }
 
     /// Removes the line holding `addr` in response to a coherence snoop.
@@ -1046,6 +1095,54 @@ mod tests {
         let ship = run(ReplacementPolicy::Ship);
         let lru = run(ReplacementPolicy::Lru);
         assert!(ship > lru, "ship {ship} vs lru {lru}");
+    }
+
+    /// The classic RRIP victim loop [`rrip_victim`] replaces: age every
+    /// unpinned way by one until one reaches `RRPV_MAX`.
+    fn rescan_victim(rrpv: &mut [u8], meta: &[u8]) -> Option<usize> {
+        loop {
+            if let Some(i) =
+                (0..rrpv.len()).find(|&i| meta[i] & META_PINNED == 0 && rrpv[i] >= RRPV_MAX)
+            {
+                return Some(i);
+            }
+            let mut any_unpinned = false;
+            for i in 0..rrpv.len() {
+                if meta[i] & META_PINNED == 0 {
+                    any_unpinned = true;
+                    rrpv[i] = (rrpv[i] + 1).min(RRPV_MAX);
+                }
+            }
+            if !any_unpinned {
+                return None;
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_rrip_victim_matches_rescan_loop() {
+        let mut rng = xmem_core::rng::SplitMix64::new(0x5EED_4441);
+        let mut fully_pinned = 0;
+        for case in 0..20_000 {
+            let ways = [1usize, 2, 4, 8, 16][case % 5];
+            // Pin density sweeps from none to every way.
+            let pin_pct = rng.below(101);
+            let meta: Vec<u8> = (0..ways)
+                .map(|_| {
+                    let pinned = rng.below(100) < pin_pct;
+                    META_VALID | if pinned { META_PINNED } else { 0 }
+                })
+                .collect();
+            let rrpv: Vec<u8> = (0..ways)
+                .map(|_| rng.below(u64::from(RRPV_MAX) + 1) as u8)
+                .collect();
+            let (mut fast, mut slow) = (rrpv.clone(), rrpv.clone());
+            let got = rrip_victim(&mut fast, &meta);
+            assert_eq!(got, rescan_victim(&mut slow, &meta), "{rrpv:?} {meta:?}");
+            assert_eq!(fast, slow, "ageing differs for {rrpv:?} {meta:?}");
+            fully_pinned += usize::from(got.is_none());
+        }
+        assert!(fully_pinned > 100, "fully pinned sets were not exercised");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use crate::cache::{Cache, CacheStats, InsertPriority};
 use crate::config::CacheConfig;
 use crate::pin::{select_pinned, PinCandidate};
-use crate::prefetch::{MultiStridePrefetcher, PrefetchRequest, PrefetchStats};
+use crate::prefetch::{MultiStridePrefetcher, PrefetchStats, StrideBurst};
 use cpu_sim::batch::OpAttrs;
 use dram_sim::{Dram, DramStats};
 use std::collections::BTreeSet;
@@ -246,13 +246,143 @@ pub struct SharedLevels {
     /// AMU epoch at the last pinning evaluation.
     last_epoch: u64,
     /// Lines prefetched but not yet demanded (bounded; for accuracy stats).
-    inflight_prefetches: BTreeSet<u64>,
+    inflight_prefetches: InflightSet,
     xmem_pf_stats: PrefetchStats,
 }
 
 /// Cap on the prefetch-tracking set (oldest entries are simply forgotten —
 /// this only affects the accuracy statistic, not behaviour).
 const PF_TRACK_CAP: usize = 1 << 16;
+
+/// Slot count the in-flight table starts with (a power of two).
+const INFLIGHT_MIN_SLOTS: usize = 1 << 10;
+
+/// The set of lines prefetched into the L3 and not yet demanded. It is only
+/// ever probed, inserted into and removed from — never iterated — so it is
+/// an open-addressed table of line numbers (linear probing, Fibonacci
+/// hashing, deletion by backward shift) with no per-insert allocation and
+/// no hasher state. The table doubles when it would pass three-quarters
+/// full, so its memory follows the tracked-line count as the ordered set's
+/// did; at [`PF_TRACK_CAP`] lines it is at most half full. Like the ordered
+/// set, an insert that finds `PF_TRACK_CAP` lines tracked forgets them all
+/// first.
+#[derive(Debug)]
+struct InflightSet {
+    /// `line number + 1` per slot; 0 marks an empty slot.
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: the Fibonacci-hash shift.
+    hash_shift: u32,
+    /// Lines whose number does not fit a slot (addresses at or beyond
+    /// 2^32 lines); empty unless the physical address space is that large.
+    far: BTreeSet<u64>,
+    len: usize,
+    line_shift: u32,
+}
+
+impl InflightSet {
+    fn new(line_bytes: u64) -> Self {
+        InflightSet {
+            slots: vec![0; INFLIGHT_MIN_SLOTS],
+            hash_shift: 64 - INFLIGHT_MIN_SLOTS.trailing_zeros(),
+            far: BTreeSet::new(),
+            len: 0,
+            line_shift: line_bytes.trailing_zeros(),
+        }
+    }
+
+    /// The slot key of `line`, or `None` when its number does not fit.
+    #[inline]
+    fn key(&self, line: u64) -> Option<u32> {
+        u32::try_from((line >> self.line_shift) + 1).ok()
+    }
+
+    #[inline]
+    fn home(&self, key: u32) -> usize {
+        (u64::from(key).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.hash_shift) as usize
+    }
+
+    /// The slot holding `key`, or the empty slot ending its probe run.
+    #[inline]
+    fn find(&self, key: u32) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        while self.slots[i] != 0 && self.slots[i] != key {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Tracks `line`, first forgetting everything if [`PF_TRACK_CAP`]
+    /// lines are already tracked.
+    fn insert(&mut self, line: u64) {
+        if self.len + self.far.len() >= PF_TRACK_CAP {
+            self.slots.fill(0);
+            self.far.clear();
+            self.len = 0;
+        }
+        let Some(key) = self.key(line) else {
+            self.far.insert(line);
+            return;
+        };
+        let mut i = self.find(key);
+        if self.slots[i] != 0 {
+            return;
+        }
+        if 4 * (self.len + 1) > 3 * self.slots.len() {
+            self.grow();
+            i = self.find(key);
+        }
+        self.slots[i] = key;
+        self.len += 1;
+    }
+
+    /// Doubles the table, re-placing every tracked line.
+    fn grow(&mut self) {
+        let doubled = vec![0; 2 * self.slots.len()];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        self.hash_shift -= 1;
+        for key in old.into_iter().filter(|&k| k != 0) {
+            let i = self.find(key);
+            self.slots[i] = key;
+        }
+    }
+
+    /// Stops tracking `line`; returns whether it was tracked.
+    #[inline]
+    fn remove(&mut self, line: u64) -> bool {
+        let Some(key) = self.key(line) else {
+            return self.far.remove(&line);
+        };
+        let mut hole = self.find(key);
+        if self.slots[hole] == 0 {
+            return false;
+        }
+        self.len -= 1;
+        // Backward-shift deletion: pull later members of the probe run
+        // into the hole unless their home lies cyclically in (hole, j].
+        let mask = self.slots.len() - 1;
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let k = self.slots[j];
+            if k == 0 {
+                break;
+            }
+            let home = self.home(k);
+            let stays = if hole <= j {
+                hole < home && home <= j
+            } else {
+                hole < home || home <= j
+            };
+            if !stays {
+                self.slots[hole] = k;
+                hole = j;
+            }
+        }
+        self.slots[hole] = 0;
+        true
+    }
+}
 
 impl SharedLevels {
     /// An empty L3 with `config`'s geometry and XMem mode, in front of
@@ -267,7 +397,7 @@ impl SharedLevels {
             xmem_prefetch_degree: config.xmem_prefetch_degree,
             pinned: Vec::new(),
             last_epoch: u64::MAX,
-            inflight_prefetches: BTreeSet::new(),
+            inflight_prefetches: InflightSet::new(config.l3.line_bytes),
             xmem_pf_stats: PrefetchStats::default(),
         }
     }
@@ -318,13 +448,13 @@ impl SharedLevels {
         let line_addr = pa & self.line_mask;
         let t_mem = now + self.l3_lat;
         let l3_hit = self.l3.probe(pa, false);
-        let stride_reqs = stride_pf
+        let stride_burst = stride_pf
             .as_mut()
             .map(|pf| pf.train(pa))
             .unwrap_or_default();
 
         if l3_hit {
-            if self.inflight_prefetches.remove(&line_addr) {
+            if self.inflight_prefetches.remove(line_addr) {
                 match stride_pf {
                     Some(pf) => pf.record_useful(),
                     None => self.xmem_pf_stats.useful += 1,
@@ -332,7 +462,7 @@ impl SharedLevels {
             }
             fill_private(self);
             // The stride engine keeps running ahead on hits too.
-            self.issue_stride_prefetches::<TIMED>(stride_reqs, t_mem);
+            self.issue_stride_prefetches::<TIMED>(stride_burst, t_mem);
             return self.l3_lat;
         }
 
@@ -362,7 +492,7 @@ impl SharedLevels {
             _ => false,
         };
         if !guided {
-            self.issue_stride_prefetches::<TIMED>(stride_reqs, t_mem);
+            self.issue_stride_prefetches::<TIMED>(stride_burst, t_mem);
         }
         self.l3_lat + dram_lat
     }
@@ -464,15 +594,11 @@ impl SharedLevels {
         }
     }
 
-    fn issue_stride_prefetches<const TIMED: bool>(
-        &mut self,
-        reqs: Vec<PrefetchRequest>,
-        t_mem: u64,
-    ) {
-        for req in reqs {
+    fn issue_stride_prefetches<const TIMED: bool>(&mut self, burst: StrideBurst, t_mem: u64) {
+        for addr in burst {
             // Prefetches insert with the default policy priority: distant
             // insertion would make far-ahead prefetches immediate victims.
-            self.prefetch_line::<TIMED>(req.addr & self.line_mask, InsertPriority::Normal, t_mem);
+            self.prefetch_line::<TIMED>(addr & self.line_mask, InsertPriority::Normal, t_mem);
         }
     }
 
@@ -493,9 +619,6 @@ impl SharedLevels {
             self.dram.warm_access(line);
         }
         self.fill_l3::<TIMED>(line, priority, t_mem);
-        if self.inflight_prefetches.len() >= PF_TRACK_CAP {
-            self.inflight_prefetches.clear();
-        }
         self.inflight_prefetches.insert(line);
         true
     }
@@ -802,6 +925,94 @@ mod tests {
         assert_eq!(h.dram_stats().row_hits, 1, "{:?}", h.dram_stats());
         // No prefetches were issued by warm probes.
         assert_eq!(h.stride_prefetch_stats().unwrap().issued, 0);
+    }
+
+    /// The ordered set [`InflightSet`] replaced, with its cap rule.
+    fn reference_insert(set: &mut BTreeSet<u64>, line: u64) {
+        if set.len() >= PF_TRACK_CAP {
+            set.clear();
+        }
+        set.insert(line);
+    }
+
+    #[test]
+    fn inflight_set_clears_at_cap_like_the_ordered_set() {
+        let mut set = InflightSet::new(64);
+        let lines = (0..PF_TRACK_CAP as u64).map(|i| i * 64);
+        for line in lines.clone() {
+            set.insert(line);
+        }
+        assert_eq!(set.len, PF_TRACK_CAP);
+        // Re-inserting a tracked line at the cap still forgets the rest.
+        set.insert(0);
+        assert_eq!(set.len, 1);
+        assert!(!set.remove(64));
+        assert!(set.remove(0));
+        assert!(!set.remove(0));
+        for line in lines {
+            set.insert(line);
+        }
+        set.insert(1 << 40); // beyond the slot range, and over the cap
+        assert_eq!((set.len, set.far.len()), (0, 1));
+        assert!(!set.remove(128));
+        assert!(set.remove(1 << 40));
+    }
+
+    #[test]
+    fn inflight_set_matches_ordered_set() {
+        let mut rng = xmem_core::rng::SplitMix64::new(0x1F_11A7);
+        // Churn phases draw from a fixed pool of scattered lines, so tracked
+        // lines share probe runs and removals must shift their neighbours.
+        let pool: Vec<u64> = (0..30_000).map(|_| rng.below(1 << 30) * 64).collect();
+        let (mut set, mut reference) = (InflightSet::new(64), BTreeSet::new());
+        let (mut clears, mut hits) = (0, 0);
+        for step in 0..600_000u64 {
+            // Alternate wide phases (distinct lines, so the cap is reached)
+            // with churn over the pool, plus rare lines whose number
+            // overflows a slot.
+            let wide = (step / 100_000) % 2 == 0;
+            let line = match rng.below(64) {
+                0 => (1 << 38) + rng.below(1 << 20) * 64,
+                _ if wide => rng.below(1 << 30) * 64,
+                _ => pool[rng.below(pool.len() as u64) as usize],
+            };
+            if rng.below(10) < if wide { 8 } else { 5 } {
+                clears += usize::from(reference.len() >= PF_TRACK_CAP);
+                reference_insert(&mut reference, line);
+                set.insert(line);
+            } else {
+                let was = reference.remove(&line);
+                hits += usize::from(was);
+                assert_eq!(set.remove(line), was, "step {step}");
+            }
+            assert_eq!(set.len + set.far.len(), reference.len(), "step {step}");
+        }
+        assert!(clears >= 2, "the cap was reached {clears} times");
+        assert!(hits > 40_000, "only {hits} removals found their line");
+    }
+
+    #[test]
+    fn inflight_set_removes_inside_wrapping_probe_runs() {
+        // Lines whose home is one of the last two slots: their probe runs
+        // wrap past the end of the table.
+        let set = InflightSet::new(64);
+        let last = set.slots.len() - 1;
+        let lines: Vec<u64> = (0..u64::from(u32::MAX - 1))
+            .map(|n| n * 64)
+            .filter(|&l| set.home(set.key(l).unwrap()) >= last - 1)
+            .take(6)
+            .collect();
+        for skip in 0..lines.len() {
+            let mut set = InflightSet::new(64);
+            for &l in &lines {
+                set.insert(l);
+            }
+            assert!(set.remove(lines[skip]));
+            for (k, &l) in lines.iter().enumerate() {
+                assert_eq!(set.remove(l), k != skip, "skip {skip}, line {k}");
+            }
+            assert_eq!(set.len, 0);
+        }
     }
 
     #[test]

@@ -45,4 +45,4 @@ pub use crate::hierarchy::{
     Hierarchy, HierarchyConfig, PrivateLevels, SharedLevels, XmemContext, XmemMode,
 };
 pub use crate::pin::{select_pinned, PinCandidate, PIN_FRACTION};
-pub use crate::prefetch::{MultiStridePrefetcher, PrefetchRequest, PrefetchStats};
+pub use crate::prefetch::{MultiStridePrefetcher, PrefetchStats, StrideBurst};

@@ -6,12 +6,40 @@
 //! [`crate::hierarchy`], driven by the per-atom
 //! [`PrefetcherPrimitive`](xmem_core::translate::PrefetcherPrimitive) PAT.
 
-/// A detected prefetch candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefetchRequest {
-    /// Address to prefetch (line-aligned by the consumer).
-    pub addr: u64,
+/// The prefetch targets of one [`MultiStridePrefetcher::train`] call:
+/// `addr + k * stride` for `k = 1..=degree`, stopping before the first
+/// target that would fall below address 0 (only a negative stride gets
+/// there, and its targets fall monotonically). Targets are generated
+/// lazily, so training allocates nothing; they are not line-aligned.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StrideBurst {
+    next: u64,
+    stride: i64,
+    left: usize,
 }
+
+impl Iterator for StrideBurst {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let target = self.next;
+        // Past the last target this may leave the address space; it is
+        // never yielded.
+        self.next = self.next.wrapping_add_signed(self.stride);
+        Some(target)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for StrideBurst {}
 
 /// Statistics for a prefetcher.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -70,10 +98,11 @@ struct StreamEntry {
 /// use cache_sim::prefetch::MultiStridePrefetcher;
 ///
 /// let mut pf = MultiStridePrefetcher::new(16, 2);
-/// assert!(pf.train(0x1000).is_empty());   // first touch
-/// assert!(pf.train(0x1040).is_empty());   // stride candidate
-/// let reqs = pf.train(0x1080);            // stride confirmed
-/// assert_eq!(reqs[0].addr, 0x10c0);
+/// assert_eq!(pf.train(0x1000).len(), 0); // first touch
+/// assert_eq!(pf.train(0x1040).len(), 0); // stride candidate
+/// let burst: Vec<u64> = pf.train(0x1080).collect(); // stride confirmed
+/// assert_eq!(burst, [0x10c0, 0x1100]);
+/// assert_eq!(pf.stats().issued, 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MultiStridePrefetcher {
@@ -108,8 +137,9 @@ impl MultiStridePrefetcher {
         }
     }
 
-    /// Observes a demand access and returns the prefetches to issue.
-    pub fn train(&mut self, addr: u64) -> Vec<PrefetchRequest> {
+    /// Observes a demand access and returns the prefetches to issue. The
+    /// burst is counted as issued here, whether or not it is consumed.
+    pub fn train(&mut self, addr: u64) -> StrideBurst {
         self.clock += 1;
         let clock = self.clock;
         let region = addr / REGION_BYTES;
@@ -135,7 +165,7 @@ impl MultiStridePrefetcher {
                     lru: clock,
                     valid: true,
                 };
-                return Vec::new();
+                return StrideBurst::default();
             }
         };
 
@@ -144,30 +174,28 @@ impl MultiStridePrefetcher {
         let delta = addr as i64 - entry.last_addr as i64;
         entry.last_addr = addr;
         if delta == 0 {
-            return Vec::new();
+            return StrideBurst::default();
         }
         if delta == entry.stride {
             entry.confidence = (entry.confidence + 1).min(CONF_MAX);
         } else {
             entry.stride = delta;
             entry.confidence = 0;
-            return Vec::new();
+            return StrideBurst::default();
         }
         if entry.confidence < CONF_THRESHOLD {
-            return Vec::new();
+            return StrideBurst::default();
         }
         let stride = entry.stride;
-        let mut reqs = Vec::with_capacity(degree);
-        for k in 1..=degree as i64 {
-            let target = addr as i64 + stride * k;
-            if target >= 0 {
-                reqs.push(PrefetchRequest {
-                    addr: target as u64,
-                });
-            }
+        let left = (1..=degree as i64)
+            .take_while(|&k| addr as i64 + stride * k >= 0)
+            .count();
+        self.stats.issued += left as u64;
+        StrideBurst {
+            next: addr.wrapping_add_signed(stride),
+            stride,
+            left,
         }
-        self.stats.issued += reqs.len() as u64;
-        reqs
     }
 
     /// Records that a previously prefetched line was demanded.
@@ -192,15 +220,16 @@ impl MultiStridePrefetcher {
 mod tests {
     use super::*;
 
+    fn burst(pf: &mut MultiStridePrefetcher, addr: u64) -> Vec<u64> {
+        pf.train(addr).collect()
+    }
+
     #[test]
     fn detects_unit_stride() {
         let mut pf = MultiStridePrefetcher::new(4, 2);
         pf.train(0);
         pf.train(64);
-        let reqs = pf.train(128);
-        assert_eq!(reqs.len(), 2);
-        assert_eq!(reqs[0].addr, 192);
-        assert_eq!(reqs[1].addr, 256);
+        assert_eq!(burst(&mut pf, 128), [192, 256]);
     }
 
     #[test]
@@ -208,9 +237,24 @@ mod tests {
         let mut pf = MultiStridePrefetcher::new(4, 1);
         pf.train(1024);
         pf.train(960);
-        let reqs = pf.train(896);
-        assert_eq!(reqs.len(), 1);
-        assert_eq!(reqs[0].addr, 832);
+        assert_eq!(burst(&mut pf, 896), [832]);
+    }
+
+    #[test]
+    fn negative_stride_stops_at_address_zero() {
+        let mut pf = MultiStridePrefetcher::new(4, 4);
+        pf.train(900);
+        pf.train(600);
+        // 300 - 2 * 300 < 0: only the first target survives, and only it
+        // counts as issued.
+        assert_eq!(burst(&mut pf, 300), [0]);
+        assert_eq!(pf.stats().issued, 1);
+        let mut pf = MultiStridePrefetcher::new(4, 4);
+        pf.train(920);
+        pf.train(610);
+        // The first target, 300 - 310, is already below 0.
+        assert_eq!(burst(&mut pf, 300), Vec::<u64>::new());
+        assert_eq!(pf.stats().issued, 0);
     }
 
     #[test]
@@ -223,10 +267,8 @@ mod tests {
             pf.train(base_a + i * 64);
             pf.train(base_b + i * 128);
         }
-        let ra = pf.train(base_a + 4 * 64);
-        let rb = pf.train(base_b + 4 * 128);
-        assert_eq!(ra[0].addr, base_a + 5 * 64);
-        assert_eq!(rb[0].addr, base_b + 5 * 128);
+        assert_eq!(burst(&mut pf, base_a + 4 * 64), [base_a + 5 * 64]);
+        assert_eq!(burst(&mut pf, base_b + 4 * 128), [base_b + 5 * 128]);
     }
 
     #[test]
@@ -247,11 +289,11 @@ mod tests {
         let mut pf = MultiStridePrefetcher::new(4, 1);
         pf.train(0);
         pf.train(64);
-        assert!(!pf.train(128).is_empty());
+        assert_ne!(pf.train(128).len(), 0);
         // Change the stride: the new delta must repeat once before
         // prefetching resumes.
-        assert!(pf.train(128 + 256).is_empty());
-        assert!(!pf.train(128 + 512).is_empty());
+        assert_eq!(pf.train(128 + 256).len(), 0);
+        assert_ne!(pf.train(128 + 512).len(), 0);
     }
 
     #[test]
@@ -263,7 +305,7 @@ mod tests {
         pf.train(1 << 20); // region X evicts region 2
                            // Region 0 still trained.
         pf.train(128);
-        assert!(!pf.train(192).is_empty());
+        assert_ne!(pf.train(192).len(), 0);
     }
 
     #[test]
@@ -282,7 +324,103 @@ mod tests {
         pf.train(0);
         pf.train(64);
         pf.flush();
-        assert!(pf.train(128).is_empty());
-        assert!(pf.train(192).is_empty());
+        assert_eq!(pf.train(128).len(), 0);
+        assert_eq!(pf.train(192).len(), 0);
+    }
+
+    /// The `Vec`-returning training step [`MultiStridePrefetcher::train`]
+    /// replaced, kept verbatim apart from returning bare addresses.
+    fn train_vec(pf: &mut MultiStridePrefetcher, addr: u64) -> Vec<u64> {
+        pf.clock += 1;
+        let clock = pf.clock;
+        let region = addr / REGION_BYTES;
+        let degree = pf.degree;
+        let slot = match pf.entries.iter().position(|e| e.valid && e.tag == region) {
+            Some(i) => i,
+            None => {
+                let i = pf
+                    .entries
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, e)| if e.valid { e.lru } else { 0 })
+                    .map(|(i, _)| i)
+                    .unwrap();
+                pf.entries[i] = StreamEntry {
+                    tag: region,
+                    last_addr: addr,
+                    stride: 0,
+                    confidence: 0,
+                    lru: clock,
+                    valid: true,
+                };
+                return Vec::new();
+            }
+        };
+        let entry = &mut pf.entries[slot];
+        entry.lru = clock;
+        let delta = addr as i64 - entry.last_addr as i64;
+        entry.last_addr = addr;
+        if delta == 0 {
+            return Vec::new();
+        }
+        if delta == entry.stride {
+            entry.confidence = (entry.confidence + 1).min(CONF_MAX);
+        } else {
+            entry.stride = delta;
+            entry.confidence = 0;
+            return Vec::new();
+        }
+        if entry.confidence < CONF_THRESHOLD {
+            return Vec::new();
+        }
+        let stride = entry.stride;
+        let mut reqs = Vec::with_capacity(degree);
+        for k in 1..=degree as i64 {
+            let target = addr as i64 + stride * k;
+            if target >= 0 {
+                reqs.push(target as u64);
+            }
+        }
+        pf.stats.issued += reqs.len() as u64;
+        reqs
+    }
+
+    #[test]
+    fn burst_matches_vec_training() {
+        let mut rng = xmem_core::rng::SplitMix64::new(0xB0_2575);
+        let mut cut_short = 0;
+        for case in 0..400 {
+            let degree = 1 + (case % 8);
+            let mut fast = MultiStridePrefetcher::new(4, degree);
+            let mut slow = fast.clone();
+            let mut addr = 0u64;
+            for _ in 0..300 {
+                // Runs of strided accesses (either sign, often starting in
+                // the first region so negative strides reach address 0),
+                // broken by random jumps.
+                if rng.below(16) == 0 || addr == 0 {
+                    addr = if rng.below(2) == 0 {
+                        rng.below(REGION_BYTES)
+                    } else {
+                        rng.below(1 << 24)
+                    };
+                } else {
+                    let stride = 1 + rng.below(700);
+                    addr = if rng.below(2) == 0 {
+                        addr.saturating_sub(stride)
+                    } else {
+                        addr + stride
+                    };
+                }
+                for _ in 0..=rng.below(3) {
+                    let want = train_vec(&mut slow, addr);
+                    let got: Vec<u64> = fast.train(addr).collect();
+                    cut_short += usize::from(!want.is_empty() && want.len() < degree);
+                    assert_eq!(got, want, "addr {addr:#x} degree {degree}");
+                    assert_eq!(fast.stats(), slow.stats());
+                }
+            }
+        }
+        assert!(cut_short > 0, "no burst was cut off at address 0");
     }
 }

@@ -248,8 +248,16 @@ impl Core {
 
     /// The core's current notion of time (cycle at which everything issued
     /// so far will have completed).
+    ///
+    /// The co-run scheduler reads this once per core switch, so with a
+    /// power-of-two width the rounded-up front-end time is a shift plus a
+    /// remainder test rather than a 64-bit division.
+    #[inline]
     pub fn now(&self) -> u64 {
-        let frontend = self.issued.div_ceil(self.config.issue_width as u64);
+        let frontend = match self.width_shift {
+            Some(s) => (self.issued >> s) + u64::from(self.issued & ((1 << s) - 1) != 0),
+            None => self.issued.div_ceil(self.config.issue_width as u64),
+        };
         frontend.max(self.max_completion).max(self.retire_frontier)
     }
 
@@ -580,6 +588,24 @@ mod tests {
         assert_eq!(stats.total_load_latency, 0);
         // Front-end bound only: 49 instructions at 4-wide.
         assert_eq!(stats.cycles, 49u64.div_ceil(4));
+    }
+
+    #[test]
+    fn now_rounds_front_end_up_for_every_width() {
+        // The shift path (power-of-two widths) and the division path must
+        // agree with `div_ceil` on every issued count.
+        for width in [1u32, 2, 3, 4, 6, 8] {
+            let mut c = Core::new(CoreConfig {
+                issue_width: width,
+                ..CoreConfig::westmere_like()
+            });
+            let mut issued = 0u64;
+            for n in 1..=40u32 {
+                c.step_fixed(Op::Compute(n), 1);
+                issued += u64::from(n);
+                assert_eq!(c.now(), issued.div_ceil(u64::from(width)), "width {width}");
+            }
+        }
     }
 
     #[test]

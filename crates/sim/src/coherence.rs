@@ -154,8 +154,10 @@ pub fn mesi_access(
     };
 
     // ── L1 hit ──────────────────────────────────────────────────────────
-    if d.cores[core].l1.probe(pa, is_write) {
-        let state = d.cores[core].l1.coh_state(pa);
+    // The probe and fill slots let each state update land on its line
+    // without searching the set again.
+    if let Some(slot) = d.cores[core].l1.probe_slot(pa, is_write) {
+        let state = d.cores[core].l1.coh_state_at(slot);
         debug_assert_ne!(state, MesiState::Invalid, "resident line without state");
         // `others` only matters from I, which a hit excludes.
         let (next, bus_op) = local_next(state, is_write, false);
@@ -166,7 +168,7 @@ pub fn mesi_access(
             snoop_peers(d, core, line, op, &mut acc);
         }
         if next != state {
-            d.cores[core].l1.set_coh_state(line, next);
+            d.cores[core].l1.set_coh_state_at(slot, next);
             d.cores[core].l2.set_coh_state(line, next);
         }
         acc.latency = lat;
@@ -175,8 +177,8 @@ pub fn mesi_access(
     }
 
     // ── L2 hit: state lives in L2; refill L1 alongside ──────────────────
-    if d.cores[core].l2.probe(pa, false) {
-        let state = d.cores[core].l2.coh_state(pa);
+    if let Some(slot) = d.cores[core].l2.probe_slot(pa, false) {
+        let state = d.cores[core].l2.coh_state_at(slot);
         debug_assert_ne!(state, MesiState::Invalid, "resident line without state");
         let (next, bus_op) = local_next(state, is_write, false);
         let mut lat = d.l1_lat + d.l2_lat;
@@ -185,13 +187,15 @@ pub fn mesi_access(
             lat += d.bus.transact(op, now);
             snoop_peers(d, core, line, op, &mut acc);
         }
-        d.cores[core].l2.set_coh_state(line, next);
-        let ev = d.cores[core].l1.fill(line, false, InsertPriority::Normal);
+        d.cores[core].l2.set_coh_state_at(slot, next);
+        let (slot, ev) = d.cores[core]
+            .l1
+            .fill_slot(line, false, InsertPriority::Normal);
         if let Some(ev) = ev {
             let still = d.cores[core].l2.contains(ev.addr);
             settle_eviction(core, ev, still, d.bus, &mut acc);
         }
-        d.cores[core].l1.set_coh_state(line, next);
+        d.cores[core].l1.set_coh_state_at(slot, next);
         acc.latency = lat;
         acc.state = next;
         return acc;
@@ -207,18 +211,22 @@ pub fn mesi_access(
     } else {
         acc.from_memory = true;
     }
-    let ev = d.cores[core].l2.fill(line, false, InsertPriority::Normal);
+    let (slot, ev) = d.cores[core]
+        .l2
+        .fill_slot(line, false, InsertPriority::Normal);
     if let Some(ev) = ev {
         let still = d.cores[core].l1.contains(ev.addr);
         settle_eviction(core, ev, still, d.bus, &mut acc);
     }
-    d.cores[core].l2.set_coh_state(line, next);
-    let ev = d.cores[core].l1.fill(line, false, InsertPriority::Normal);
+    d.cores[core].l2.set_coh_state_at(slot, next);
+    let (slot, ev) = d.cores[core]
+        .l1
+        .fill_slot(line, false, InsertPriority::Normal);
     if let Some(ev) = ev {
         let still = d.cores[core].l2.contains(ev.addr);
         settle_eviction(core, ev, still, d.bus, &mut acc);
     }
-    d.cores[core].l1.set_coh_state(line, next);
+    d.cores[core].l1.set_coh_state_at(slot, next);
     acc.latency = lat;
     acc.state = next;
     acc

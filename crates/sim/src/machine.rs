@@ -168,17 +168,11 @@ struct MemSystem {
     hierarchy: Hierarchy,
     sys: LoadedSystem,
     tlb: Option<Tlb>,
-    /// Small direct-mapped VPN→PFN translate cache over the OS page table
-    /// (indexed by the VPN's low bits). Workloads alternate between a few
-    /// data structures on different pages — gemm touches three arrays per
-    /// inner iteration — so a single entry thrashes; [`TC_ENTRIES`] slots
-    /// remove the page-table binary search from the hot path entirely. It
-    /// is *exact* (never changes a translation): [`Machine::alloc`] — the
-    /// only path that mutates the page table — invalidates it.
-    tc_vpn: [u64; TC_ENTRIES],
-    tc_pfn: [u64; TC_ENTRIES],
-    /// `log2(page_size)`; translation caching assumes power-of-two pages.
-    page_shift: u32,
+    /// Translate cache over the OS page table. It is *exact* (never
+    /// changes a translation): [`Machine::alloc`] — the only path that
+    /// grows the page table — clears it, and a page migration drops the
+    /// one stale entry.
+    tc: TranslateCache,
     /// Recently-warmed lines, direct-mapped by line index (the warm-path
     /// filter); `u64::MAX` means "slot empty".
     warm_lines: [u64; WARM_FILTER_ENTRIES],
@@ -199,17 +193,76 @@ const WARM_FILTER_ENTRIES: usize = 256;
 /// pages a kernel's inner loop cycles through).
 const TC_ENTRIES: usize = 16;
 
-/// `tc_vpn` value meaning "translate cache entry empty".
+/// `vpn` value meaning "translate cache entry empty".
 const TC_EMPTY: u64 = u64::MAX;
+
+/// Small direct-mapped VPN→PFN translate cache (indexed by the VPN's low
+/// bits). Workloads alternate between a few data structures on different
+/// pages — gemm touches three arrays per inner iteration — so a single
+/// entry thrashes; [`TC_ENTRIES`] slots take the page-table binary search
+/// off the hot path. Its owner decides what it may cache and when the
+/// entries go stale.
+#[derive(Debug)]
+pub(crate) struct TranslateCache {
+    vpn: [u64; TC_ENTRIES],
+    pfn: [u64; TC_ENTRIES],
+    /// `log2(page_size)`; translation caching assumes power-of-two pages.
+    page_shift: u32,
+}
+
+impl TranslateCache {
+    /// An empty cache for pages of `page_size` bytes (a power of two).
+    pub(crate) fn new(page_size: u64) -> Self {
+        TranslateCache {
+            vpn: [TC_EMPTY; TC_ENTRIES],
+            pfn: [0; TC_ENTRIES],
+            page_shift: page_size.trailing_zeros(),
+        }
+    }
+
+    #[inline]
+    fn slot(&self, va: u64) -> (usize, u64) {
+        let vpn = va >> self.page_shift;
+        (addr_to_index(vpn & (TC_ENTRIES as u64 - 1)), vpn)
+    }
+
+    /// The cached translation of `va`, if its page is cached.
+    #[inline]
+    pub(crate) fn lookup(&self, va: u64) -> Option<u64> {
+        let (slot, vpn) = self.slot(va);
+        (self.vpn[slot] == vpn)
+            .then(|| (self.pfn[slot] << self.page_shift) | (va & ((1 << self.page_shift) - 1)))
+    }
+
+    /// Caches the page of `va` as translating to the frame of `pa`.
+    #[inline]
+    pub(crate) fn insert(&mut self, va: u64, pa: u64) {
+        let (slot, vpn) = self.slot(va);
+        self.vpn[slot] = vpn;
+        self.pfn[slot] = pa >> self.page_shift;
+    }
+
+    /// Drops the entry for `va`'s page, if cached. The cache is
+    /// direct-mapped by VPN, so only that one slot can hold it.
+    pub(crate) fn invalidate(&mut self, va: u64) {
+        let (slot, vpn) = self.slot(va);
+        if self.vpn[slot] == vpn {
+            self.vpn[slot] = TC_EMPTY;
+        }
+    }
+
+    /// Drops every entry.
+    pub(crate) fn clear(&mut self) {
+        self.vpn = [TC_EMPTY; TC_ENTRIES];
+    }
+}
 
 impl MemSystem {
     /// Translates `va`, consulting the direct-mapped cache first.
     #[inline]
     fn translate(&mut self, va: u64) -> u64 {
-        let vpn = va >> self.page_shift;
-        let slot = addr_to_index(vpn & (TC_ENTRIES as u64 - 1));
-        if vpn == self.tc_vpn[slot] {
-            return (self.tc_pfn[slot] << self.page_shift) | (va & ((1 << self.page_shift) - 1));
+        if let Some(pa) = self.tc.lookup(va) {
+            return pa;
         }
         let pa = self
             .sys
@@ -218,8 +271,7 @@ impl MemSystem {
             .translate(VirtAddr::new(va))
             .unwrap_or_else(|| panic!("access to unallocated VA {va:#x}"))
             .raw();
-        self.tc_vpn[slot] = vpn;
-        self.tc_pfn[slot] = pa >> self.page_shift;
+        self.tc.insert(va, pa);
         pa
     }
 
@@ -230,11 +282,7 @@ impl MemSystem {
     /// whole array instead.
     #[inline]
     fn invalidate_translation(&mut self, va: u64) {
-        let vpn = va >> self.page_shift;
-        let slot = addr_to_index(vpn & (TC_ENTRIES as u64 - 1));
-        if self.tc_vpn[slot] == vpn {
-            self.tc_vpn[slot] = TC_EMPTY;
-        }
+        self.tc.invalidate(va);
         // The warm-path filter may cover lines of this page; after a
         // rebind their physical homes change, so force re-walks.
         self.warm_lines = [u64::MAX; WARM_FILTER_ENTRIES];
@@ -404,9 +452,7 @@ impl Machine {
             mem: MemSystem {
                 hierarchy: Hierarchy::new(config.hierarchy, dram),
                 tlb: config.tlb.map(Tlb::new),
-                tc_vpn: [TC_EMPTY; TC_ENTRIES],
-                tc_pfn: [0; TC_ENTRIES],
-                page_shift: sys.os.page_table().page_size().trailing_zeros(),
+                tc: TranslateCache::new(sys.os.page_table().page_size()),
                 warm_lines: [u64::MAX; WARM_FILTER_ENTRIES],
                 warm_dirty: [false; WARM_FILTER_ENTRIES],
                 sys,
@@ -859,7 +905,7 @@ impl TraceSink for Machine {
 
     fn alloc(&mut self, bytes: u64, atom: Option<AtomId>) -> u64 {
         // The page table is about to grow: drop the translate cache.
-        self.mem.tc_vpn = [TC_EMPTY; TC_ENTRIES];
+        self.mem.tc.clear();
         self.mem
             .sys
             .os

@@ -37,7 +37,7 @@
 
 use crate::coherence::{mesi_access, MesiDomains};
 use crate::config::{CoherenceMode, MultiCoreConfig};
-use crate::machine::LoadedSystem;
+use crate::machine::{LoadedSystem, TranslateCache};
 use cache_sim::cache::CacheStats;
 use cache_sim::coherence::{BusStats, SnoopBus};
 use cache_sim::hierarchy::{PrivateLevels, SharedLevels};
@@ -45,11 +45,12 @@ use cache_sim::XmemMode;
 use cpu_sim::batch::{MemoryPath, OpAttrs};
 use cpu_sim::core::{Core, CoreStats};
 use dram_sim::{Dram, DramStats};
+use os_sim::vm::PageTable;
 use std::collections::{BTreeMap, BTreeSet};
 use workloads::sink::TraceEvent;
 use xmem_core::addr::VirtAddr;
 use xmem_core::alb::AlbStats;
-use xmem_core::amu::Mmu;
+use xmem_core::amu::Mmu as _;
 use xmem_core::atom::{AtomId, StaticAtom};
 use xmem_core::attrs::{DataProps, RwChar};
 use xmem_core::segment::AtomSegment;
@@ -102,25 +103,100 @@ struct SharedMem {
 struct CoreMemView<'a> {
     mem: &'a mut SharedMem,
     core: usize,
-    /// Per-core VA translation table: (recorded base, len, actual base),
-    /// sorted by recorded base.
-    ranges: &'a [(u64, u64, u64)],
+    xlat: &'a mut CoreXlat,
+}
+
+/// One core's recorded-VA → PA translation: its (recorded base, len,
+/// actual base) ranges, sorted by recorded base, and a recorded-VPN → PFN
+/// [`TranslateCache`] in front of the range lookup plus page-table walk.
+///
+/// The cache is exact. A recorded page is cached only when every address
+/// in it resolves through the same range to the same actual page: the
+/// range covers the whole page, no other range base lies inside it, and
+/// the range moves addresses by a page multiple (recorded bases need not
+/// be page-aligned). A new range can change which range covers a page, so
+/// [`CoreXlat::add_range`] empties the cache; nothing else in a co-run
+/// rebinds a mapped page.
+#[derive(Debug)]
+struct CoreXlat {
+    ranges: Vec<(u64, u64, u64)>,
+    page_size: u64,
+    tc: TranslateCache,
+}
+
+impl CoreXlat {
+    fn new(page_size: u64) -> Self {
+        CoreXlat {
+            ranges: Vec::new(),
+            page_size,
+            tc: TranslateCache::new(page_size),
+        }
+    }
+
+    /// Records an allocation of `bytes` recorded at `base` and placed at
+    /// `actual`.
+    fn add_range(&mut self, base: u64, bytes: u64, actual: u64) {
+        self.ranges
+            .push((base, bytes.next_multiple_of(4096).max(4096), actual));
+        self.ranges.sort_unstable();
+        self.tc.clear();
+    }
+
+    /// Translates recorded `va` to a physical address through the cache,
+    /// falling back to the range lookup and the page table.
+    #[inline]
+    fn translate(&mut self, pt: &PageTable, va: u64, core: usize) -> u64 {
+        if let Some(pa) = self.tc.lookup(va) {
+            return pa;
+        }
+        let range = covering_range(&self.ranges, va);
+        let actual = range.map_or(va, |i| {
+            let (base, _, actual) = self.ranges[i];
+            actual + (va - base)
+        });
+        let pa = pt
+            .translate(VirtAddr::new(actual))
+            .unwrap_or_else(|| panic!("core {core}: unallocated VA {va:#x}"))
+            .raw();
+        if range.is_some_and(|i| self.maps_whole_page(i, va)) {
+            self.tc.insert(va, pa);
+        }
+        pa
+    }
+
+    /// Whether range `i` alone resolves every address of the recorded page
+    /// holding `va`, onto a single actual page.
+    fn maps_whole_page(&self, i: usize, va: u64) -> bool {
+        let offset_mask = self.page_size - 1;
+        let (page, last) = (va & !offset_mask, va | offset_mask);
+        let (base, len, actual) = self.ranges[i];
+        base <= page
+            && last < base + len
+            && (i == 0 || self.ranges[i - 1].0 < base)
+            && self.ranges.get(i + 1).is_none_or(|next| next.0 > last)
+            && actual.wrapping_sub(base) & offset_mask == 0
+    }
+}
+
+/// Index of the range a recorded VA resolves through, if any. Callers use
+/// an uncovered VA as an actual VA, untranslated.
+fn covering_range(ranges: &[(u64, u64, u64)], va: u64) -> Option<usize> {
+    match ranges.binary_search_by(|&(base, _, _)| base.cmp(&va)) {
+        Ok(i) => Some(i),
+        Err(0) => None,
+        Err(i) => {
+            let (base, len, _) = ranges[i - 1];
+            (va < base + len).then_some(i - 1)
+        }
+    }
 }
 
 /// Translates a recorded VA through a core's (recorded → actual) ranges.
 fn translate_va(ranges: &[(u64, u64, u64)], va: u64) -> u64 {
-    match ranges.binary_search_by(|&(base, _, _)| base.cmp(&va)) {
-        Ok(i) => ranges[i].2,
-        Err(0) => va, // untranslated (never allocated — will fault below)
-        Err(i) => {
-            let (base, len, actual) = ranges[i - 1];
-            if va < base + len {
-                actual + (va - base)
-            } else {
-                va
-            }
-        }
-    }
+    covering_range(ranges, va).map_or(va, |i| {
+        let (base, _, actual) = ranges[i];
+        actual + (va - base)
+    })
 }
 
 impl MemoryPath for CoreMemView<'_> {
@@ -135,13 +211,7 @@ impl MemoryPath for CoreMemView<'_> {
     /// the L3 could exploit).
     fn serve(&mut self, va: u64, attrs: OpAttrs, now: u64) -> u64 {
         let (mem, core, is_write) = (&mut *self.mem, self.core, attrs.write);
-        let pa = mem
-            .sys
-            .os
-            .page_table()
-            .translate(VirtAddr::new(translate_va(self.ranges, va)))
-            .unwrap_or_else(|| panic!("core {core}: unallocated VA {va:#x}"))
-            .raw();
+        let pa = self.xlat.translate(mem.sys.os.page_table(), va, core);
         let xmem = mem.sys.xmem();
         if mem.coherence == CoherenceMode::None {
             return mem.cores[core].serve::<true>(&mut mem.shared, pa, is_write, now, xmem);
@@ -299,193 +369,205 @@ pub fn run_corun(config: &MultiCoreConfig, logs: &[Vec<TraceEvent>]) -> CorunRep
     // ── replay ───────────────────────────────────────────────────────────
     let mut cores: Vec<Core> = (0..config.cores).map(|_| Core::new(config.core)).collect();
     let mut pos = vec![0usize; config.cores];
-    let mut created = vec![0u32; config.cores]; // creates seen during replay
-    let mut ranges: Vec<Vec<(u64, u64, u64)>> = vec![Vec::new(); config.cores];
+    let page_size = mem.sys.os.page_table().page_size();
+    let mut xlats: Vec<CoreXlat> = (0..config.cores)
+        .map(|_| CoreXlat::new(page_size))
+        .collect();
     // Shared-segment replay state: one physical allocation per key, and
     // reference counts so only the first mapper/activator (and last
     // unmapper/deactivator) touches the AMU for a shared atom.
     let mut shared_bases: BTreeMap<u64, u64> = BTreeMap::new();
     let mut shared_map_rc: BTreeMap<(u64, u64), u32> = BTreeMap::new();
     let mut act_rc: BTreeMap<AtomId, u32> = BTreeMap::new();
+    let rename = |core: usize, id: AtomId| {
+        *atom_maps[core]
+            .get(&id.raw())
+            // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
+            .expect("atom referenced before creation")
+    };
 
     loop {
-        // Pick the live core earliest in simulated time.
-        let next = (0..config.cores)
-            .filter(|&i| pos[i] < logs[i].len())
-            .min_by_key(|&i| (cores[i].now(), i));
-        let Some(i) = next else { break };
+        // The live core earliest in simulated time, ties to the lowest
+        // index, steps next. Only the stepping core's `(now, index)` key
+        // moves, so it keeps the turn until its key passes the smallest
+        // key among the other live cores: the same interleaving as picking
+        // again after every op, with one pick per switch.
+        let (mut first, mut rival) = (None, None);
+        for j in (0..config.cores).filter(|&j| pos[j] < logs[j].len()) {
+            let key = (cores[j].now(), j);
+            if first.is_none_or(|f| key < f) {
+                rival = first;
+                first = Some(key);
+            } else if rival.is_none_or(|r| key < r) {
+                rival = Some(key);
+            }
+        }
+        let Some((_, i)) = first else { break };
 
-        // Apply hint events until the next op (hints are "free" in time).
-        while pos[i] < logs[i].len() {
-            let rename = |core: usize, id: AtomId| {
-                *atom_maps[core]
-                    .get(&id.raw())
-                    // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-                    .expect("atom referenced before creation")
-            };
-            let ev = logs[i][pos[i]].clone();
-            pos[i] += 1;
-            match ev {
-                TraceEvent::Op(op) => {
-                    let mut view = CoreMemView {
-                        mem: &mut mem,
-                        core: i,
-                        ranges: &ranges[i],
-                    };
-                    cores[i].step(op, &mut view);
-                    break;
-                }
-                TraceEvent::Create { .. } | TraceEvent::CreateShared { .. } => {
-                    created[i] += 1; // already merged in pass 1
-                }
-                TraceEvent::Alloc { bytes, atom, base } => {
-                    let global_atom = atom.map(|a| rename(i, a));
-                    let actual = mem
-                        .sys
-                        .os
-                        .malloc(bytes, global_atom)
-                        // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-                        .expect("physical memory exhausted")
-                        .raw();
-                    ranges[i].push((base, bytes.next_multiple_of(4096).max(4096), actual));
-                    ranges[i].sort_unstable();
-                }
-                TraceEvent::AllocShared {
-                    key,
-                    bytes,
-                    atom,
-                    base,
-                } => {
-                    // One physical allocation per key; every core's local VA
-                    // range for it translates to the same frames.
-                    let actual = match shared_bases.get(&key) {
-                        Some(&pa) => pa,
-                        None => {
-                            let global_atom = atom.map(|a| rename(i, a));
-                            let pa = mem
-                                .sys
-                                .os
-                                .malloc(bytes, global_atom)
+        while pos[i] < logs[i].len() && rival.is_none_or(|r| (cores[i].now(), i) < r) {
+            // Apply hint events until the next op (hints are "free" in time).
+            while pos[i] < logs[i].len() {
+                let ev = &logs[i][pos[i]];
+                pos[i] += 1;
+                match *ev {
+                    TraceEvent::Op(op) => {
+                        let mut view = CoreMemView {
+                            mem: &mut mem,
+                            core: i,
+                            xlat: &mut xlats[i],
+                        };
+                        cores[i].step(op, &mut view);
+                        break;
+                    }
+                    // Already merged in pass 1.
+                    TraceEvent::Create { .. } | TraceEvent::CreateShared { .. } => {}
+                    TraceEvent::Alloc { bytes, atom, base } => {
+                        let global_atom = atom.map(|a| rename(i, a));
+                        let actual = mem
+                            .sys
+                            .os
+                            .malloc(bytes, global_atom)
+                            // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
+                            .expect("physical memory exhausted")
+                            .raw();
+                        xlats[i].add_range(base, bytes, actual);
+                    }
+                    TraceEvent::AllocShared {
+                        key,
+                        bytes,
+                        atom,
+                        base,
+                    } => {
+                        // One physical allocation per key; every core's local
+                        // VA range for it translates to the same frames.
+                        let actual = match shared_bases.get(&key) {
+                            Some(&pa) => pa,
+                            None => {
+                                let global_atom = atom.map(|a| rename(i, a));
+                                let pa = mem
+                                    .sys
+                                    .os
+                                    .malloc(bytes, global_atom)
+                                    // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
+                                    .expect("physical memory exhausted")
+                                    .raw();
+                                shared_bases.insert(key, pa);
+                                pa
+                            }
+                        };
+                        xlats[i].add_range(base, bytes, actual);
+                    }
+                    TraceEvent::Map { atom, start, len } => {
+                        if xmem_enabled {
+                            let global = rename(i, atom);
+                            let actual = translate_va(&xlats[i].ranges, start);
+                            if shared_ids.contains(&global) {
+                                let rc = shared_map_rc.entry((actual, len)).or_insert(0);
+                                *rc += 1;
+                                if *rc > 1 {
+                                    continue; // later mappers: range already live
+                                }
+                            }
+                            lib.atom_map(
+                                &mut mem.sys.amu,
+                                mem.sys.os.page_table(),
+                                global,
+                                VirtAddr::new(actual),
+                                len,
+                            )
+                            // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
+                            .expect("map");
+                        }
+                    }
+                    TraceEvent::Unmap { start, len } => {
+                        if xmem_enabled {
+                            let actual = translate_va(&xlats[i].ranges, start);
+                            if let Some(rc) = shared_map_rc.get_mut(&(actual, len)) {
+                                *rc -= 1;
+                                if *rc > 0 {
+                                    continue; // other cores still map this range
+                                }
+                            }
+                            lib.atom_unmap(
+                                &mut mem.sys.amu,
+                                mem.sys.os.page_table(),
+                                VirtAddr::new(actual),
+                                len,
+                            )
+                            // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
+                            .expect("unmap");
+                        }
+                    }
+                    TraceEvent::Map2d {
+                        atom,
+                        base,
+                        size_x,
+                        size_y,
+                        len_x,
+                    } => {
+                        if xmem_enabled {
+                            let actual = translate_va(&xlats[i].ranges, base);
+                            lib.atom_map_2d(
+                                &mut mem.sys.amu,
+                                mem.sys.os.page_table(),
+                                rename(i, atom),
+                                VirtAddr::new(actual),
+                                size_x,
+                                size_y,
+                                len_x,
+                            )
+                            // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
+                            .expect("map2d");
+                        }
+                    }
+                    TraceEvent::Unmap2d {
+                        base,
+                        size_x,
+                        size_y,
+                        len_x,
+                    } => {
+                        if xmem_enabled {
+                            let actual = translate_va(&xlats[i].ranges, base);
+                            lib.atom_unmap_2d(
+                                &mut mem.sys.amu,
+                                mem.sys.os.page_table(),
+                                VirtAddr::new(actual),
+                                size_x,
+                                size_y,
+                                len_x,
+                            )
+                            // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
+                            .expect("unmap2d");
+                        }
+                    }
+                    TraceEvent::Activate(atom) => {
+                        if xmem_enabled {
+                            let global = rename(i, atom);
+                            if shared_ids.contains(&global) {
+                                let rc = act_rc.entry(global).or_insert(0);
+                                *rc += 1;
+                                if *rc > 1 {
+                                    continue; // already active on another core's behalf
+                                }
+                            }
+                            lib.atom_activate(&mut mem.sys.amu, mem.sys.os.page_table(), global)
                                 // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-                                .expect("physical memory exhausted")
-                                .raw();
-                            shared_bases.insert(key, pa);
-                            pa
+                                .expect("activate");
                         }
-                    };
-                    ranges[i].push((base, bytes.next_multiple_of(4096).max(4096), actual));
-                    ranges[i].sort_unstable();
-                }
-                TraceEvent::Map { atom, start, len } => {
-                    if xmem_enabled {
-                        let global = rename(i, atom);
-                        let actual = translate_va(&ranges[i], start);
-                        if shared_ids.contains(&global) {
-                            let rc = shared_map_rc.entry((actual, len)).or_insert(0);
-                            *rc += 1;
-                            if *rc > 1 {
-                                continue; // later mappers: range already live
+                    }
+                    TraceEvent::Deactivate(atom) => {
+                        if xmem_enabled {
+                            let global = rename(i, atom);
+                            if let Some(rc) = act_rc.get_mut(&global) {
+                                *rc -= 1;
+                                if *rc > 0 {
+                                    continue; // other cores still want it active
+                                }
                             }
+                            lib.atom_deactivate(&mut mem.sys.amu, mem.sys.os.page_table(), global)
+                                // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
+                                .expect("deactivate");
                         }
-                        lib.atom_map(
-                            &mut mem.sys.amu,
-                            mem.sys.os.page_table(),
-                            global,
-                            VirtAddr::new(actual),
-                            len,
-                        )
-                        // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-                        .expect("map");
-                    }
-                }
-                TraceEvent::Unmap { start, len } => {
-                    if xmem_enabled {
-                        let actual = translate_va(&ranges[i], start);
-                        if let Some(rc) = shared_map_rc.get_mut(&(actual, len)) {
-                            *rc -= 1;
-                            if *rc > 0 {
-                                continue; // other cores still map this range
-                            }
-                        }
-                        lib.atom_unmap(
-                            &mut mem.sys.amu,
-                            mem.sys.os.page_table(),
-                            VirtAddr::new(actual),
-                            len,
-                        )
-                        // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-                        .expect("unmap");
-                    }
-                }
-                TraceEvent::Map2d {
-                    atom,
-                    base,
-                    size_x,
-                    size_y,
-                    len_x,
-                } => {
-                    if xmem_enabled {
-                        let actual = translate_va(&ranges[i], base);
-                        lib.atom_map_2d(
-                            &mut mem.sys.amu,
-                            mem.sys.os.page_table(),
-                            rename(i, atom),
-                            VirtAddr::new(actual),
-                            size_x,
-                            size_y,
-                            len_x,
-                        )
-                        // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-                        .expect("map2d");
-                    }
-                }
-                TraceEvent::Unmap2d {
-                    base,
-                    size_x,
-                    size_y,
-                    len_x,
-                } => {
-                    if xmem_enabled {
-                        let actual = translate_va(&ranges[i], base);
-                        lib.atom_unmap_2d(
-                            &mut mem.sys.amu,
-                            mem.sys.os.page_table(),
-                            VirtAddr::new(actual),
-                            size_x,
-                            size_y,
-                            len_x,
-                        )
-                        // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-                        .expect("unmap2d");
-                    }
-                }
-                TraceEvent::Activate(atom) => {
-                    if xmem_enabled {
-                        let global = rename(i, atom);
-                        if shared_ids.contains(&global) {
-                            let rc = act_rc.entry(global).or_insert(0);
-                            *rc += 1;
-                            if *rc > 1 {
-                                continue; // already active on another core's behalf
-                            }
-                        }
-                        lib.atom_activate(&mut mem.sys.amu, mem.sys.os.page_table(), global)
-                            // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-                            .expect("activate");
-                    }
-                }
-                TraceEvent::Deactivate(atom) => {
-                    if xmem_enabled {
-                        let global = rename(i, atom);
-                        if let Some(rc) = act_rc.get_mut(&global) {
-                            *rc -= 1;
-                            if *rc > 0 {
-                                continue; // other cores still want it active
-                            }
-                        }
-                        lib.atom_deactivate(&mut mem.sys.amu, mem.sys.os.page_table(), global)
-                            // simlint: allow(unwrap, reason = "workload-invariant violation; the sweep's catch_unwind surfaces it as RunOutcome::Failed")
-                            .expect("deactivate");
                     }
                 }
             }

@@ -11,9 +11,17 @@
 //!   any field fails even where no counter is spelled out;
 //! * a 1-core `run_corun` under `CoherenceMode::None` must report the same
 //!   core, cache, DRAM and ALB counters as `run_workload` on the same
-//!   workload.
+//!   workload;
+//! * golden counters for the co-run interleaving itself, under both
+//!   coherence modes: two identical lock-counter logs (clock ties decided
+//!   by core index), two table readers beside a streaming hog, and a
+//!   hand-built log whose allocation bases are not page-aligned (recorded
+//!   pages straddle ranges and a later allocation lands inside an already
+//!   touched page).
 
+use cpu_sim::trace::Op;
 use std::fmt::Write as _;
+use workloads::hog::stream_hog;
 use workloads::placement::PlacementWorkload;
 use workloads::polybench::{KernelParams, PolybenchKernel};
 use workloads::shared::{lock_counter, producer_consumer, read_mostly_reader, PcRole};
@@ -390,4 +398,174 @@ fn one_core_corun_matches_single_core_run() {
         }
     }
     assert_eq!(checked, 24);
+}
+
+// Co-run interleaving goldens, captured at the revision before the co-run
+// scheduler picked the next core once per switch instead of once per op.
+
+const LOCK_PAIR_NONE: &str = "\
+core0 cycles=858 instr=1800 loads=600 stores=300 load_lat=4403
+core1 cycles=528 instr=1800 loads=600 stores=300 load_lat=3869
+l1[0] acc=900 hits=867 fills=33 ev=0 wb=0 snoop_inv=0 snoop_wb=0
+l1[1] acc=900 hits=867 fills=33 ev=0 wb=0 snoop_inv=0 snoop_wb=0
+l2[0] acc=33 hits=0 fills=33 ev=0 wb=0 snoop_inv=0 snoop_wb=0
+l2[1] acc=33 hits=0 fills=33 ev=0 wb=0 snoop_inv=0 snoop_wb=0
+l3 acc=66 hits=63 fills=69 ev=0 wb=0 snoop_inv=0 snoop_wb=0
+dram reads=69 demand=3 writes=0 row_hits=67 row_misses=2 row_conflicts=0 read_lat=124182 write_lat=0
+alb hits=63 misses=3
+bus rd=0 rdx=0 upgr=0 c2c=0 wb=0 inval=0 stall=0
+debug_fnv=04289ea2ecade031";
+const LOCK_PAIR_MESI: &str = "\
+core0 cycles=2706 instr=1800 loads=600 stores=300 load_lat=42692
+core1 cycles=2189 instr=1800 loads=600 stores=300 load_lat=21630
+l1[0] acc=900 hits=851 fills=49 ev=0 wb=0 snoop_inv=16 snoop_wb=7
+l1[1] acc=900 hits=853 fills=47 ev=0 wb=0 snoop_inv=15 snoop_wb=8
+l2[0] acc=49 hits=0 fills=49 ev=0 wb=0 snoop_inv=16 snoop_wb=7
+l2[1] acc=47 hits=0 fills=47 ev=0 wb=0 snoop_inv=15 snoop_wb=8
+l3 acc=65 hits=62 fills=69 ev=0 wb=0 snoop_inv=0 snoop_wb=0
+dram reads=69 demand=3 writes=0 row_hits=67 row_misses=2 row_conflicts=0 read_lat=56130 write_lat=0
+alb hits=62 misses=3
+bus rd=81 rdx=15 upgr=16 c2c=31 wb=30 inval=31 stall=86577
+debug_fnv=e6367375e270007a";
+const READERS_HOG_NONE: &str = "\
+core0 cycles=113621 instr=2756 loads=900 stores=56 load_lat=113621
+core1 cycles=113662 instr=3656 loads=900 stores=56 load_lat=113662
+core2 cycles=107181 instr=4000 loads=2000 stores=0 load_lat=209548
+l1[0] acc=956 hits=740 fills=216 ev=88 wb=28 snoop_inv=0 snoop_wb=0
+l1[1] acc=956 hits=711 fills=245 ev=117 wb=35 snoop_inv=0 snoop_wb=0
+l1[2] acc=2000 hits=0 fills=2000 ev=1872 wb=0 snoop_inv=0 snoop_wb=0
+l2[0] acc=216 hits=54 fills=162 ev=0 wb=0 snoop_inv=0 snoop_wb=0
+l2[1] acc=245 hits=79 fills=166 ev=0 wb=0 snoop_inv=0 snoop_wb=0
+l2[2] acc=2000 hits=214 fills=1786 ev=1530 wb=0 snoop_inv=0 snoop_wb=0
+l3 acc=2114 hits=1852 fills=1999 ev=1487 wb=0 snoop_inv=0 snoop_wb=0
+dram reads=1999 demand=262 writes=0 row_hits=1987 row_misses=12 row_conflicts=0 read_lat=7105502 write_lat=0
+alb hits=2094 misses=20
+bus rd=0 rdx=0 upgr=0 c2c=0 wb=0 inval=0 stall=0
+debug_fnv=921126fe0cb9f79d";
+const READERS_HOG_MESI: &str = "\
+core0 cycles=90027 instr=2756 loads=900 stores=56 load_lat=90027
+core1 cycles=89631 instr=3656 loads=900 stores=56 load_lat=89631
+core2 cycles=111791 instr=4000 loads=2000 stores=0 load_lat=2488729
+l1[0] acc=956 hits=740 fills=216 ev=88 wb=28 snoop_inv=0 snoop_wb=0
+l1[1] acc=956 hits=711 fills=245 ev=117 wb=35 snoop_inv=0 snoop_wb=0
+l1[2] acc=2000 hits=0 fills=2000 ev=1872 wb=0 snoop_inv=0 snoop_wb=0
+l2[0] acc=216 hits=54 fills=162 ev=0 wb=0 snoop_inv=0 snoop_wb=0
+l2[1] acc=245 hits=79 fills=166 ev=0 wb=0 snoop_inv=0 snoop_wb=0
+l2[2] acc=2000 hits=214 fills=1786 ev=1530 wb=0 snoop_inv=0 snoop_wb=0
+l3 acc=1986 hits=1731 fills=1997 ev=1485 wb=0 snoop_inv=0 snoop_wb=0
+dram reads=1997 demand=255 writes=0 row_hits=1985 row_misses=12 row_conflicts=0 read_lat=4216952 write_lat=0
+alb hits=1966 misses=20
+bus rd=2042 rdx=72 upgr=0 c2c=128 wb=0 inval=0 stall=2619145
+debug_fnv=6cdfdf27180c66a3";
+const UNALIGNED_NONE: &str = "\
+core0 cycles=46313 instr=11440 loads=2400 stores=600 load_lat=401286
+core1 cycles=43643 instr=11326 loads=2400 stores=600 load_lat=373769
+l1[0] acc=3000 hits=1889 fills=1111 ev=983 wb=280 snoop_inv=0 snoop_wb=0
+l1[1] acc=3000 hits=1921 fills=1079 ev=951 wb=295 snoop_inv=0 snoop_wb=0
+l2[0] acc=1111 hits=554 fills=557 ev=301 wb=26 snoop_inv=0 snoop_wb=0
+l2[1] acc=1079 hits=544 fills=535 ev=279 wb=77 snoop_inv=0 snoop_wb=0
+l3 acc=1092 hits=396 fills=696 ev=184 wb=9 snoop_inv=0 snoop_wb=0
+dram reads=696 demand=696 writes=38 row_hits=688 row_misses=8 row_conflicts=0 read_lat=865823 write_lat=27473
+alb hits=0 misses=0
+bus rd=0 rdx=0 upgr=0 c2c=0 wb=0 inval=0 stall=0
+debug_fnv=ba4320d682bd4479";
+const UNALIGNED_MESI: &str = "\
+core0 cycles=47294 instr=11440 loads=2400 stores=600 load_lat=455751
+core1 cycles=42975 instr=11326 loads=2400 stores=600 load_lat=406179
+l1[0] acc=3000 hits=1884 fills=1116 ev=964 wb=384 snoop_inv=24 snoop_wb=3
+l1[1] acc=3000 hits=1919 fills=1081 ev=928 wb=375 snoop_inv=25 snoop_wb=5
+l2[0] acc=1116 hits=544 fills=572 ev=277 wb=85 snoop_inv=39 snoop_wb=5
+l2[1] acc=1081 hits=533 fills=548 ev=247 wb=91 snoop_inv=45 snoop_wb=10
+l3 acc=967 hits=282 fills=686 ev=174 wb=25 snoop_inv=0 snoop_wb=0
+dram reads=686 demand=685 writes=43 row_hits=678 row_misses=8 row_conflicts=0 read_lat=677630 write_lat=20848
+alb hits=0 misses=0
+bus rd=905 rdx=215 upgr=58 c2c=153 wb=229 inval=84 stall=290440
+debug_fnv=c5f72b359b92dfe5";
+
+fn corun_golden(cores: usize, kind: SystemKind, logs: &[Vec<TraceEvent>]) -> [String; 2] {
+    [CoherenceMode::None, CoherenceMode::Mesi].map(|mode| {
+        let cfg = MultiCoreConfig::scaled_corun(cores, 32 << 10, kind).with_coherence(mode);
+        corun_digest(&run_corun(&cfg, logs))
+    })
+}
+
+#[test]
+fn identical_lock_counters_match_golden() {
+    let log = record(|s| lock_counter(s, 300, 3));
+    let [none, mesi] = corun_golden(2, SystemKind::Xmem, &[log.clone(), log]);
+    assert_eq!(none, LOCK_PAIR_NONE);
+    assert_eq!(mesi, LOCK_PAIR_MESI);
+}
+
+#[test]
+fn readers_beside_stream_hog_match_golden() {
+    let logs = vec![
+        record(|s| read_mostly_reader(s, 0, 8 << 10, 900, 2, Reuse(200))),
+        record(|s| read_mostly_reader(s, 1, 8 << 10, 900, 3, Reuse(200))),
+        record(|s| stream_hog(s, 64 << 10, 2_000, 1)),
+    ];
+    let [none, mesi] = corun_golden(3, SystemKind::Xmem, &logs);
+    assert_eq!(none, READERS_HOG_NONE);
+    assert_eq!(mesi, READERS_HOG_MESI);
+}
+
+/// A log with allocation bases that are not page-aligned: recorded pages
+/// straddle two ranges (the first range's page-rounded length overlaps the
+/// second's base), and a mid-run allocation lands inside a page that has
+/// already been touched, so the page's later accesses resolve through the
+/// new range.
+fn unaligned_log(core: u64) -> Vec<TraceEvent> {
+    let alloc = |bytes, base| TraceEvent::Alloc {
+        bytes,
+        atom: None,
+        base,
+    };
+    let a = 0x1000_0100 + core * 0x40;
+    let b = a + 0x2900; // inside `a`'s page-rounded range
+    let c = 0x3000_0000;
+    let late = c + 0x400; // lands inside `c`'s first page
+    let shared = 0x5000_0a80 + core * 0x100;
+    let mut log = vec![
+        alloc(10_000, a),
+        alloc(3_000, b),
+        alloc(100, c),
+        TraceEvent::AllocShared {
+            key: 7,
+            bytes: 6_000,
+            atom: None,
+            base: shared,
+        },
+    ];
+    // Every target lies inside the range the replay resolves it to.
+    let spans = [(a, 0x2900), (b, 0x1000), (c, 0x400), (shared, 6_000)];
+    let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ core;
+    let mut ops = |log: &mut Vec<TraceEvent>, spans: &[(u64, u64)], n: usize| {
+        for i in 0..n {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let (base, len) = spans[(x >> 33) as usize % spans.len()];
+            let addr = (base + (x >> 13) % len) & !7;
+            log.push(TraceEvent::Op(if i % 5 == 4 {
+                Op::store(addr)
+            } else {
+                Op::load(addr)
+            }));
+            if i % 3 == 0 {
+                log.push(TraceEvent::Op(Op::Compute(1 + (x >> 60) as u32)));
+            }
+        }
+    };
+    ops(&mut log, &spans, 1_500);
+    log.push(alloc(2_000, late));
+    ops(&mut log, &[(c, 0x400), (late, 2_000), (a, 0x2900)], 1_500);
+    log
+}
+
+#[test]
+fn unaligned_allocations_match_golden() {
+    let logs = vec![unaligned_log(0), unaligned_log(1)];
+    let [none, mesi] = corun_golden(2, SystemKind::Baseline, &logs);
+    assert_eq!(none, UNALIGNED_NONE);
+    assert_eq!(mesi, UNALIGNED_MESI);
 }
